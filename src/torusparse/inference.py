@@ -11,7 +11,6 @@ soft-threshold proximal map rather than a subgradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,18 +98,30 @@ def code_gradient(
     raise ValueError(f"unknown gradient mode {mode!r}")
 
 
-@dataclass(eq=False)
-class FistaState:
-    """Bookkeeping for the accelerated proximal loop."""
-
-    code: np.ndarray
-    momentum: np.ndarray
-    t: float
-    step: float
+def fista(gradient, init: np.ndarray, step: float, threshold: float, steps: int):
+    """Nonnegative FISTA: ``steps`` ascent steps along ``gradient`` taken at
+    the momentum point, each followed by the soft-threshold prox."""
+    code = momentum = init
+    t = 1.0
+    for it in range(steps):
+        new_code = prox_exponential(momentum + step * gradient(momentum), threshold)
+        if not np.isfinite(new_code).all():
+            raise FloatingPointError(f"non-finite code at inference iteration {it}")
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        momentum = new_code + ((t - 1.0) / t_next) * (new_code - code)
+        code, t = new_code, t_next
+    return code
 
 
 def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None):
     """Run the full inference loop for a batch of images at once.
+
+    Works only on the 2L basis coefficients v = B^T x of the images and
+    u = B^T Phi a of the coded templates. Because B^T B = I, the
+    approximate ascent residual R^T B^T (x - B R u) equals R^T v - rho * u,
+    with R the expected rotation and rho_l = |r_l|^2 = c_l^2 + s_l^2 the
+    squared length of its block l (R^T R is rho_l times the identity on
+    each block). The exact residual is R^T v - u, i.e. rho = 1.
 
     Returns (codes, BatchPosterior) where the posterior summaries are
     recomputed at the final codes. Vectorizing over the batch is the
@@ -121,47 +132,29 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None):
     if images.shape[1] != model.basis.shape[0]:
         raise ValueError("image length does not match model dimension")
     n_grid = cfg.grid_size if n_grid is None else n_grid
-    mode = cfg.grad_mode
-    noise_var = model.noise_var
+    exact = cfg.grad_mode == "exact"
     coupling = model.basis.T @ model.dictionary
     eta_prior = natural_params(model.prior)
     images_coeff = images @ model.basis
-    step = fista_step_size(model)
-    threshold = step * model.sparsity
 
-    b, k = images.shape[0], model.dictionary.shape[1]
-    state = FistaState(
-        code=np.full((b, k), cfg.code_init),
-        momentum=np.full((b, k), cfg.code_init),
-        t=1.0,
-        step=step,
-    )
-    for it in range(cfg.fista_steps):
-        post, _ = batch_posterior(
-            images_coeff, state.momentum, coupling, eta_prior, noise_var,
+    def posterior(codes):
+        return batch_posterior(
+            images_coeff, codes, coupling, eta_prior, model.noise_var,
             model.freq, n_grid,
-        )
-        rc, rs = post.rbar[:, 0::2], post.rbar[:, 1::2]
-        u = state.momentum @ coupling.T
-        if mode == "exact":
-            back = rotate_pairs(rc, rs, images_coeff, adjoint=True) - u
-        else:
-            residual = images - rotate_pairs(rc, rs, u) @ model.basis.T
-            back = rotate_pairs(rc, rs, residual @ model.basis, adjoint=True)
-        grad = (back @ coupling) / noise_var
-        new_code = prox_exponential(state.momentum + step * grad, threshold)
-        if not np.isfinite(new_code).all():
-            raise FloatingPointError(f"non-finite code at inference iteration {it}")
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * state.t * state.t))
-        state.momentum = new_code + ((state.t - 1.0) / t_next) * (new_code - state.code)
-        state.code = new_code
-        state.t = t_next
+        )[0]
 
-    final_post, _ = batch_posterior(
-        images_coeff, state.code, coupling, eta_prior, noise_var,
-        model.freq, n_grid,
-    )
-    return state.code, final_post
+    def ascent(codes):
+        rbar = posterior(codes).rbar
+        rc, rs = rbar[:, 0::2], rbar[:, 1::2]
+        rho = 1.0 if exact else np.repeat(rc * rc + rs * rs, 2, axis=1)
+        u = codes @ coupling.T
+        back = rotate_pairs(rc, rs, images_coeff, adjoint=True) - rho * u
+        return (back @ coupling) / model.noise_var
+
+    step = fista_step_size(model)
+    init = np.full((images.shape[0], model.dictionary.shape[1]), cfg.code_init)
+    codes = fista(ascent, init, step, step * model.sparsity, cfg.fista_steps)
+    return codes, posterior(codes)
 
 
 def infer_code(image: np.ndarray, model, cfg, n_grid: int | None = None):

@@ -190,14 +190,7 @@ def _parse_value(text: str, target_type):
 def parse_config(path) -> TrainConfig:
     """Parse `key = value` lines ('#' comments); missing keys keep defaults."""
     cfg = TrainConfig()
-    types = {f.name: f.type for f in fields(TrainConfig)}
-    concrete = {"batch_size": int, "fista_steps": int, "grid_size": int,
-                "epochs": int, "lr_dict": float, "lr_basis": float,
-                "code_init": float, "seed": int, "grad_mode": str,
-                "torus_dim": int, "n_freq": int, "n_atoms": int,
-                "multiplicity": int, "image_dim": int, "noise_var": float,
-                "sparsity": float, "include_zero_freq": bool}
-    assert set(concrete) == set(types)
+    types = {f.name: type(f.default) for f in fields(TrainConfig)}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             body = line.split("#", 1)[0].strip()
@@ -212,7 +205,7 @@ def parse_config(path) -> TrainConfig:
             if attr is None:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             try:
-                setattr(cfg, attr, _parse_value(value, concrete[attr]))
+                setattr(cfg, attr, _parse_value(value, types[attr]))
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     try:

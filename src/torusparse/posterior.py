@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .torus import TWO_PI, FrequencyTable, rotate_pairs
+from .torus import TWO_PI, FrequencyTable
 
 GRID_POINT_LIMIT = 10_000_000
 
@@ -55,10 +55,12 @@ def grid_lattice(n: int, N: int) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, n)
 
 
-def grid_tables(freq: FrequencyTable, N: int):
-    """Cosine/sine tables of shape (N**n, L) over the uniform angle grid.
+def grid_tables(freq: FrequencyTable, N: int) -> np.ndarray:
+    """Interleaved cosine/sine table of shape (N**n, 2L) over the uniform
+    angle grid: column 2l holds cos(omega_l . s), column 2l+1 sin(omega_l . s),
+    matching the (cos, sin) order of natural parameters and expected rotations.
 
-    Cached per (table, N): the same tables are reused across every
+    Cached per (table, N): the same table is reused across every
     inference call during training.
     """
     if N < 2:
@@ -73,9 +75,11 @@ def grid_tables(freq: FrequencyTable, N: int):
     if hit is not None:
         return hit
     theta = grid_lattice(freq.n, N) @ (freq.entries.T * (TWO_PI / N))
-    tables = (np.cos(theta), np.sin(theta))
-    _TABLE_CACHE[key] = tables
-    return tables
+    table = np.empty((theta.shape[0], 2 * freq.L))
+    np.cos(theta, out=table[:, 0::2])
+    np.sin(theta, out=table[:, 1::2])
+    _TABLE_CACHE[key] = table
+    return table
 
 
 @dataclass(eq=False)
@@ -123,8 +127,7 @@ def _eta_from_coefficients(u, v, eta_prior, noise_var):
 
 def posterior_grid(eta_hat: np.ndarray, freq: FrequencyTable, N: int) -> PosteriorGrid:
     """Evaluate the discretized posterior for one natural parameter vector."""
-    cos_t, sin_t = grid_tables(freq, N)
-    energy = cos_t @ eta_hat[0::2] + sin_t @ eta_hat[1::2]
+    energy = grid_tables(freq, N) @ eta_hat
     shift = energy.max()
     weights = np.exp(energy - shift)
     total = weights.sum()
@@ -142,11 +145,7 @@ def expected_rotation(grid: PosteriorGrid, freq: FrequencyTable) -> np.ndarray:
     These 2L numbers are the blockwise representation of the expected
     rotation; the dense matrix is never formed.
     """
-    cos_t, sin_t = grid_tables(freq, grid.N)
-    rbar = np.empty(2 * freq.L)
-    rbar[0::2] = grid.weights @ cos_t
-    rbar[1::2] = grid.weights @ sin_t
-    return rbar
+    return grid.weights @ grid_tables(freq, grid.N)
 
 
 def map_estimate(grid: PosteriorGrid) -> np.ndarray:
@@ -213,31 +212,20 @@ def batch_posterior(
     weights) with weights (B, N**n); summation orders are fixed, so
     results are reproducible bit for bit.
     """
-    cos_t, sin_t = grid_tables(freq, N)
+    table = grid_tables(freq, N)
     u = codes @ coupling.T
     eta_hat = _eta_from_coefficients(u, images_coeff, eta_prior, noise_var)
-    energy = eta_hat[:, 0::2] @ cos_t.T + eta_hat[:, 1::2] @ sin_t.T
+    energy = eta_hat @ table.T
     energy -= energy.max(axis=1, keepdims=True)
     np.exp(energy, out=energy)
     energy /= energy.sum(axis=1, keepdims=True)
     weights = energy
-    rbar = np.empty_like(eta_hat)
-    rbar[:, 0::2] = weights @ cos_t
-    rbar[:, 1::2] = weights @ sin_t
     post = BatchPosterior(
         eta_hat=eta_hat,
-        rbar=rbar,
+        rbar=weights @ table,
         peak_index=np.argmax(weights, axis=1),
         n=freq.n,
         N=N,
     )
     return post, weights
 
-
-def expected_transform_apply(
-    model, rbar: np.ndarray, vectors: np.ndarray, adjoint: bool = False
-) -> np.ndarray:
-    """Apply the posterior-expected transform (or its transpose) to D-vectors."""
-    coeff = vectors @ model.basis
-    rotated = rotate_pairs(rbar[..., 0::2], rbar[..., 1::2], coeff, adjoint=adjoint)
-    return rotated @ model.basis.T

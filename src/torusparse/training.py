@@ -18,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .inference import infer_code_batch, prox_exponential, spectral_norm
-from .posterior import TorusPrior, grid_tables, posterior_grid
+from .inference import fista, infer_code_batch, spectral_norm
+from .posterior import BatchPosterior, TorusPrior, grid_tables, posterior_grid
 from .stiefel import StiefelAdamState, phi_update, riemannian_adam_step
 from .torus import (
     FrequencyTable,
@@ -30,7 +30,6 @@ from .torus import (
 )
 
 COLUMN_NORM_TOL = 1e-10
-ORTHONORMALITY_TOL = 1e-8
 
 
 @dataclass(eq=False)
@@ -60,20 +59,13 @@ class ModelParams:
         return TorusOperator(basis=self.basis, freq=self.freq)
 
     def validate(self) -> None:
-        d, width = self.basis.shape
         if self.freq.L < 1 or self.dictionary.shape[1] < 1:
             raise ValueError("need at least one rotation block and one atom")
-        if width != 2 * self.freq.L:
-            raise ValueError("basis width does not match frequency table")
-        if d % 2 != 0 or width > d:
-            raise ValueError("need D even and 2L <= D")
-        gram_err = np.abs(self.basis.T @ self.basis - np.eye(width)).max()
-        if gram_err > ORTHONORMALITY_TOL:
-            raise ValueError(f"orthonormality violated (max error {gram_err:.3e})")
+        self.operator()  # basis width, even D, 2L <= D, orthonormal columns
         col_err = np.abs(np.linalg.norm(self.dictionary, axis=0) - 1.0).max()
         if col_err > COLUMN_NORM_TOL:
             raise ValueError(f"dictionary columns not unit norm (error {col_err:.3e})")
-        if self.dictionary.shape[0] != d:
+        if self.dictionary.shape[0] != self.dim:
             raise ValueError("dictionary rows do not match model dimension")
         if not self.noise_var > 0:
             raise ValueError("noise variance must be positive")
@@ -213,8 +205,9 @@ def basis_gradient(
         if grid is None:
             raise ValueError("exact basis gradient requires the posterior grid")
         v = image @ model.basis
-        cos_t, sin_t = grid_tables(model.freq, grid.N)
-        rotated = rotate_pairs(cos_t, sin_t, np.broadcast_to(u, cos_t.shape[:1] + u.shape))
+        table = grid_tables(model.freq, grid.N)
+        rotated = rotate_pairs(table[:, 0::2], table[:, 1::2],
+                               np.broadcast_to(u, table.shape))
         second_moment = (rotated * grid.weights[:, None]).T @ rotated
         grad = (
             np.outer(template, rotate_pairs(rc, rs, v, adjoint=True))
@@ -266,24 +259,20 @@ def _chunk_slices(total: int, workers: int):
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _infer_batch_threaded(images, model, cfg, threads: int, n_grid=None):
+def _infer_batch_threaded(images, model, cfg, threads: int):
     """Chunked inference; results are assembled in chunk order, so a given
     thread count always reproduces the same bits regardless of scheduling."""
     slices = _chunk_slices(images.shape[0], threads)
     if len(slices) == 1:
-        return infer_code_batch(images, model, cfg, n_grid=n_grid)
+        return infer_code_batch(images, model, cfg)
     from concurrent.futures import ThreadPoolExecutor
 
+    grid_tables(model.freq, cfg.grid_size)  # build once, before the chunks race
     with ThreadPoolExecutor(max_workers=len(slices)) as pool:
         parts = list(
-            pool.map(
-                lambda sl: infer_code_batch(images[sl], model, cfg, n_grid=n_grid),
-                slices,
-            )
+            pool.map(lambda sl: infer_code_batch(images[sl], model, cfg), slices)
         )
     codes = np.concatenate([p[0] for p in parts], axis=0)
-    from .posterior import BatchPosterior
-
     post = BatchPosterior(
         eta_hat=np.concatenate([p[1].eta_hat for p in parts], axis=0),
         rbar=np.concatenate([p[1].rbar for p in parts], axis=0),
@@ -294,34 +283,28 @@ def _infer_batch_threaded(images, model, cfg, threads: int, n_grid=None):
     return codes, post
 
 
-def train(
-    model: ModelParams,
-    data,
-    cfg: TrainConfig,
-    threads: int = 1,
-    log_path: Optional[str] = None,
-):
-    """Run the full training loop; returns (trained model, per-batch log).
+def _run_epochs(data, dim: int, cfg: TrainConfig, shuffle_key, batch_step,
+                params_name: str, log_path: Optional[str]):
+    """Epoch/batch/log driver shared by both trainers; returns the log.
 
-    Log records are (epoch, batch, mean squared residual, mean code L1,
-    seconds); with ``log_path`` they are also appended to disk as
-    tab-separated lines.
+    Checks and normalizes the dataset, reshuffles it every epoch with the
+    generator seeded by ``shuffle_key`` and feeds each batch to
+    ``batch_step(batch) -> (mean squared residual, codes, parameters)``.
+    The parameters must stay finite; log records are as in ``train``.
     """
-    cfg.validate()
     images_all = np.asarray(data.images, dtype=float)
     if images_all.ndim != 2 or images_all.shape[0] == 0:
         raise ValueError("dataset is empty")
-    if images_all.shape[1] != model.dim:
+    if images_all.shape[1] != dim:
         raise ValueError(
-            f"dataset images have length {images_all.shape[1]}, model needs {model.dim}"
+            f"dataset images have length {images_all.shape[1]}, model needs {dim}"
         )
     norms = np.linalg.norm(images_all, axis=1)
     if np.any(norms < 1e-12):
         raise ValueError("dataset contains a zero image")
     images_all = images_all / norms[:, None]
 
-    shuffle_rng = np.random.default_rng([cfg.seed, 1])
-    adam = StiefelAdamState.init(model.basis.shape, cfg.lr_basis)
+    shuffle_rng = np.random.default_rng(shuffle_key)
     log: list[tuple] = []
     sink = open(log_path, "w") if log_path else None
     try:
@@ -330,24 +313,10 @@ def train(
             for batch_idx, start in enumerate(range(0, len(order), cfg.batch_size)):
                 tic = time.perf_counter()
                 batch = images_all[order[start : start + cfg.batch_size]]
-                codes, post = _infer_batch_threaded(batch, model, cfg, threads)
-                if cfg.grad_mode == "exact":
-                    grad_d, grad_b, residual = _batch_gradients_exact(
-                        batch, codes, model, post
-                    )
-                else:
-                    grad_d, grad_b, residual = _batch_gradients_approx(
-                        batch, codes, model, post.rbar
-                    )
-                new_dict = phi_update(model.dictionary, grad_d, cfg.lr_dict)
-                adam, new_basis = riemannian_adam_step(adam, model.basis, grad_b)
-                model = replace(model, dictionary=new_dict, basis=new_basis)
-                if not (
-                    np.isfinite(model.basis).all()
-                    and np.isfinite(model.dictionary).all()
-                ):
+                residual, codes, params = batch_step(batch)
+                if not all(np.isfinite(p).all() for p in params):
                     raise RuntimeError(
-                        f"non-finite parameters after epoch {epoch} batch {batch_idx}"
+                        f"non-finite {params_name} after epoch {epoch} batch {batch_idx}"
                     )
                 record = (
                     epoch,
@@ -365,6 +334,41 @@ def train(
     finally:
         if sink:
             sink.close()
+    return log
+
+
+def train(
+    model: ModelParams,
+    data,
+    cfg: TrainConfig,
+    threads: int = 1,
+    log_path: Optional[str] = None,
+):
+    """Run the full training loop; returns (trained model, per-batch log).
+
+    Log records are (epoch, batch, mean squared residual, mean code L1,
+    seconds); with ``log_path`` they are also appended to disk as
+    tab-separated lines.
+    """
+    cfg.validate()
+    adam = StiefelAdamState.init(model.basis.shape, cfg.lr_basis)
+
+    def batch_step(batch):
+        nonlocal model, adam
+        codes, post = _infer_batch_threaded(batch, model, cfg, threads)
+        if cfg.grad_mode == "exact":
+            grad_d, grad_b, residual = _batch_gradients_exact(batch, codes, model, post)
+        else:
+            grad_d, grad_b, residual = _batch_gradients_approx(
+                batch, codes, model, post.rbar
+            )
+        new_dict = phi_update(model.dictionary, grad_d, cfg.lr_dict)
+        adam, new_basis = riemannian_adam_step(adam, model.basis, grad_b)
+        model = replace(model, dictionary=new_dict, basis=new_basis)
+        return residual, codes, (model.basis, model.dictionary)
+
+    log = _run_epochs(data, model.dim, cfg, [cfg.seed, 1], batch_step, "parameters",
+                      log_path)
     return model, log
 
 
@@ -383,19 +387,10 @@ def _baseline_infer(images, dictionary, cfg):
     gram = dictionary.T @ dictionary
     lam_max = spectral_norm(gram) / cfg.noise_var
     step = 1.0 / (1.5 * lam_max)
-    threshold = step * cfg.sparsity
     proj = images @ dictionary
-    b, k = images.shape[0], dictionary.shape[1]
-    code = np.full((b, k), cfg.code_init)
-    moment = code.copy()
-    t = 1.0
-    for _ in range(cfg.fista_steps):
-        grad = (proj - moment @ gram) / cfg.noise_var
-        new_code = prox_exponential(moment + step * grad, threshold)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        moment = new_code + ((t - 1.0) / t_next) * (new_code - code)
-        code, t = new_code, t_next
-    return code
+    init = np.full((images.shape[0], dictionary.shape[1]), cfg.code_init)
+    return fista(lambda moment: (proj - moment @ gram) / cfg.noise_var,
+                 init, step, step * cfg.sparsity, cfg.fista_steps)
 
 
 def train_baseline(
@@ -410,56 +405,25 @@ def train_baseline(
     dictionary starts as normalized nonnegative uniform noise.
     """
     cfg.validate()
-    images_all = np.asarray(data.images, dtype=float)
-    if images_all.ndim != 2 or images_all.shape[0] == 0:
-        raise ValueError("dataset is empty")
-    norms = np.linalg.norm(images_all, axis=1)
-    if np.any(norms < 1e-12):
-        raise ValueError("dataset contains a zero image")
-    images_all = images_all / norms[:, None]
-
     if state is None:
         rng = np.random.default_rng([cfg.seed, 2])
-        dictionary = rng.uniform(size=(images_all.shape[1], cfg.n_atoms))
+        dictionary = rng.uniform(size=(np.shape(data.images)[-1], cfg.n_atoms))
         dictionary /= np.linalg.norm(dictionary, axis=0)
         state = BaselineState(dictionary=dictionary)
-    shuffle_rng = np.random.default_rng([cfg.seed, 3])
-    log: list[tuple] = []
-    sink = open(log_path, "w") if log_path else None
-    try:
-        for epoch in range(cfg.epochs):
-            order = shuffle_rng.permutation(images_all.shape[0])
-            for batch_idx, start in enumerate(range(0, len(order), cfg.batch_size)):
-                tic = time.perf_counter()
-                batch = images_all[order[start : start + cfg.batch_size]]
-                codes = _baseline_infer(batch, state.dictionary, cfg)
-                residual = batch - codes @ state.dictionary.T
-                b = batch.shape[0]
-                grad = residual.T @ codes / (b * cfg.noise_var)
-                state.code_sq_history.append(np.mean(codes * codes, axis=0))
-                mean_sq = np.mean(np.stack(state.code_sq_history), axis=0)
-                scaled = grad / (mean_sq + state.eps_reg)
-                state.dictionary = phi_update(state.dictionary, scaled, cfg.lr_dict)
-                if not np.isfinite(state.dictionary).all():
-                    raise RuntimeError(
-                        f"non-finite dictionary after epoch {epoch} batch {batch_idx}"
-                    )
-                record = (
-                    epoch,
-                    batch_idx,
-                    float(np.mean(np.sum(residual * residual, axis=1))),
-                    float(np.mean(np.sum(codes, axis=1))),
-                    time.perf_counter() - tic,
-                )
-                log.append(record)
-                if sink:
-                    sink.write(
-                        f"{record[0]}\t{record[1]}\t{record[2]:.10g}"
-                        f"\t{record[3]:.10g}\t{record[4]:.6g}\n"
-                    )
-    finally:
-        if sink:
-            sink.close()
+
+    def batch_step(batch):
+        codes = _baseline_infer(batch, state.dictionary, cfg)
+        residual = batch - codes @ state.dictionary.T
+        grad = residual.T @ codes / (batch.shape[0] * cfg.noise_var)
+        state.code_sq_history.append(np.mean(codes * codes, axis=0))
+        mean_sq = np.mean(np.stack(state.code_sq_history), axis=0)
+        scaled = grad / (mean_sq + state.eps_reg)
+        state.dictionary = phi_update(state.dictionary, scaled, cfg.lr_dict)
+        mean_sq_residual = float(np.mean(np.sum(residual * residual, axis=1)))
+        return mean_sq_residual, codes, (state.dictionary,)
+
+    log = _run_epochs(data, state.dictionary.shape[0], cfg, [cfg.seed, 3], batch_step,
+                      "dictionary", log_path)
     return state, log
 
 

@@ -297,3 +297,31 @@ class TestInferCode:
         for i in range(5):
             single, _ = infer_code(images[i], model, cfg)
             np.testing.assert_allclose(codes[i], single, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["approximate", "exact"])
+def test_coefficient_space_step_matches_d_space_oracle(mode):
+    # a broad posterior (large noise variance) makes the blocks of the
+    # expected rotation contractions, |r_l|^2 < 1, so the two modes differ
+    model = small_model(40, d=12, L=3, k=3, n=1, noise_var=0.5, sparsity=0.2)
+    cfg = tp.TrainConfig(image_dim=12, n_freq=3, n_atoms=3, torus_dim=1,
+                         fista_steps=20, grid_size=16, noise_var=0.5,
+                         sparsity=0.2, code_init=0.5, grad_mode=mode)
+    rng = np.random.default_rng(41)
+    images = rng.uniform(0.05, 1, (6, 12))
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    codes, _ = infer_code_batch(images, model, replace(cfg, fista_steps=1))
+    step = fista_step_size(model)
+    init = np.full(3, cfg.code_init)
+    for i in range(images.shape[0]):
+        grid = posterior_grid(
+            posterior_natural_params(images[i], init, model), model.freq,
+            cfg.grid_size,
+        )
+        rbar = expected_rotation(grid, model.freq)
+        rho = rbar[0::2] ** 2 + rbar[1::2] ** 2
+        assert rho.min() < 0.9
+        grad = code_gradient(images[i], init, model, rbar, mode)
+        expected = prox_exponential(init + step * grad, step * model.sparsity)
+        assert np.count_nonzero(expected) > 0
+        np.testing.assert_allclose(codes[i], expected, rtol=0, atol=1e-12)

@@ -400,3 +400,25 @@ def test_two_dimensional_training_end_to_end():
     )
     assert model_snr > 3.0 * baseline_snr
     assert model_snr > 8.0
+
+
+def test_threaded_training_builds_grid_table_once(monkeypatch):
+    # a slow lattice widens the window in which two chunk threads could
+    # both miss an empty table cache on the first batch
+    import time
+
+    from torusparse import posterior
+
+    builds = []
+    lattice = posterior.grid_lattice
+
+    def slow_lattice(n, N):
+        builds.append((n, N))
+        time.sleep(0.05)
+        return lattice(n, N)
+
+    monkeypatch.setattr(posterior, "_TABLE_CACHE", {})
+    monkeypatch.setattr(posterior, "grid_lattice", slow_lattice)
+    cfg = tiny_config(epochs=1)
+    train(init_model(cfg, 0), tiny_dataset(), cfg, threads=2)
+    assert builds == [(cfg.torus_dim, cfg.grid_size)]
