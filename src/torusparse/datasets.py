@@ -204,12 +204,20 @@ def make_synthetic(templates, spec: TransformSpec, seed: int) -> Dataset:
 
 
 def normalize_batch(images: np.ndarray) -> np.ndarray:
-    """Scale each image vector to unit Euclidean norm."""
+    """Scale each image vector to unit Euclidean norm.
+
+    Raises ValueError naming the first image that has a non-finite pixel
+    or a (near) zero norm.
+    """
     images = np.asarray(images, dtype=float)
     single = images.ndim == 1
     batch = np.atleast_2d(images)
+    finite = np.isfinite(batch).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"image {int(np.argmin(finite))} has a non-finite pixel")
     norms = np.linalg.norm(batch, axis=1)
     if np.any(norms < 1e-12):
-        raise ValueError(f"image {int(np.argmin(norms))} has (near) zero norm")
+        first = int(np.flatnonzero(norms < 1e-12)[0])
+        raise ValueError(f"image {first} is a zero image (norm below 1e-12)")
     out = batch / norms[:, None]
     return out[0] if single else out

@@ -59,6 +59,8 @@ def save_checkpoint(model: ModelParams, path, n_grid: int = 50,
     d, width = model.basis.shape
     L = model.freq.L
     k = model.dictionary.shape[1]
+    if n_grid < 2:
+        raise CheckpointError(f"grid size N is {n_grid}; must be >= 2")
     flags = FLAG_DATASET if dataset is not None else 0
     parts = [
         MAGIC,
@@ -108,6 +110,8 @@ def load_checkpoint_full(path) -> CheckpointContents:
         raise VersionError(f"unsupported version {version} (expected {VERSION})")
     raw, offset = _read_exact(blob, offset, 24, "dimensions")
     d, k, L, n, m, n_grid = struct.unpack("<6I", raw)
+    if n_grid < 2:
+        raise CheckpointError(f"header field N (grid size) is {n_grid}; must be >= 2")
 
     raw, offset = _read_exact(blob, offset, 4 * L * n, "frequency table")
     entries = np.frombuffer(raw, dtype="<i4").reshape(L, n).astype(np.int64)

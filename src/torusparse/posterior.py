@@ -55,12 +55,18 @@ def grid_lattice(n: int, N: int) -> np.ndarray:
     return np.stack(axes, axis=-1).reshape(-1, n)
 
 
-def grid_tables(freq: FrequencyTable, N: int) -> np.ndarray:
-    """Interleaved cosine/sine table of shape (N**n, 2L) over the uniform
-    angle grid: column 2l holds cos(omega_l . s), column 2l+1 sin(omega_l . s),
-    matching the (cos, sin) order of natural parameters and expected rotations.
+def grid_tables(freq: FrequencyTable, N: int) -> tuple:
+    """Separable factors of the grid phases e^{i omega_l . s}, s = 2 pi j / N.
 
-    Cached per (table, N): the same table is reused across every
+    Returns a tuple of arrays: for each torus axis k, the (N, A_k) complex
+    table e^{2 pi i a j / N} over the A_k distinct values a of component k
+    (ascending), then the (L,) index of each block's cell in the C-ordered
+    A_1 x ... x A_n box. On a torus e^{i omega . s} = prod_k e^{i omega_k s_k},
+    so the posterior energy and the expected rotation are pruned DFTs over
+    this box, evaluated one axis at a time (``grid_energy``,
+    ``grid_expectation``). Angles are reduced modulo N in integers first.
+
+    Cached per (table, N): the same factors are reused across every
     inference call during training.
     """
     if N < 2:
@@ -74,12 +80,70 @@ def grid_tables(freq: FrequencyTable, N: int) -> np.ndarray:
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
-    theta = grid_lattice(freq.n, N) @ (freq.entries.T * (TWO_PI / N))
-    table = np.empty((theta.shape[0], 2 * freq.L))
-    np.cos(theta, out=table[:, 0::2])
-    np.sin(theta, out=table[:, 1::2])
-    _TABLE_CACHE[key] = table
-    return table
+    steps = grid_lattice(1, N)
+    phases, coords = [], []
+    for component in freq.entries.T:
+        values, position = np.unique(component, return_inverse=True)
+        phases.append(np.exp((1j * TWO_PI / N) * ((steps * values) % N)))
+        coords.append(position.reshape(-1))
+    cells = np.ravel_multi_index(coords, [p.shape[1] for p in phases])
+    tables = (*phases, cells)
+    _TABLE_CACHE[key] = tables
+    return tables
+
+
+def grid_energy(eta_hat: np.ndarray, tables: tuple) -> np.ndarray:
+    """Energies eta_c . cos(omega_l . s) + eta_s . sin(omega_l . s) of a
+    (B, 2L) batch of natural parameters over the grid, shape (B, N**n).
+
+    Reads eta_hat as complex z = eta_c + i eta_s, sums it into the
+    frequency box and takes Re sum z e^{-i omega . s}: axes 1..n-1 by
+    batched matmuls with the conjugate phases, the last axis as one real
+    GEMM of the (re, im) float view against the (cos, sin) table.
+    """
+    *phases, cells = tables
+    b = eta_hat.shape[0]
+    rest = math.prod(p.shape[1] for p in phases)
+    partial = np.zeros((b, rest), dtype=complex)
+    np.add.at(partial, (slice(None), cells), eta_hat.view(complex))
+    for phase in phases[:-1]:
+        rest //= phase.shape[1]
+        partial = np.matmul(phase.conj(), partial.reshape(b, -1, phase.shape[1], rest))
+    last = phases[-1]
+    energy = partial.reshape(-1, last.shape[1]).view(float) @ last.view(float).T
+    return energy.reshape(b, -1)
+
+
+def grid_expectation(weights: np.ndarray, tables: tuple) -> np.ndarray:
+    """Expected (cos, sin)(omega_l . s) under (B, N**n) grid weights,
+    interleaved into (B, 2L): the adjoint of ``grid_energy``.
+
+    The last axis is one real GEMM against the (cos, sin) table, read back
+    as complex; the other axes are contracted by batched matmuls, then
+    each block reads its cell, whose (re, im) view is the (cos, sin) pair.
+    """
+    *phases, cells = tables
+    b = weights.shape[0]
+    last = phases[-1]
+    n_grid, rest = last.shape
+    partial = (weights.reshape(-1, n_grid) @ last.view(float)).view(complex)
+    for phase in phases[-2::-1]:
+        partial = np.matmul(phase.T, partial.reshape(b, -1, n_grid, rest))
+        rest *= phase.shape[1]
+    return np.take(partial.reshape(b, -1), cells, axis=1).view(float)
+
+
+def block_phases(freq: FrequencyTable, N: int) -> np.ndarray:
+    """Dense (N**n, 2L) table of cos/sin(omega_l . s), interleaved, built
+    from the cached factors on each call (not cached itself: only the
+    exact-mode second moment needs every block at every grid point)."""
+    *phases, cells = grid_tables(freq, N)
+    coords = np.unravel_index(cells, [p.shape[1] for p in phases])
+    dense = np.ones((1, cells.shape[0]), dtype=complex)
+    for phase, position in zip(phases, coords):
+        axis = np.take(phase, position, axis=1)
+        dense = (dense[:, None] * axis).reshape(-1, cells.shape[0])
+    return dense.view(float)
 
 
 @dataclass(eq=False)
@@ -127,14 +191,15 @@ def _eta_from_coefficients(u, v, eta_prior, noise_var):
 
 def posterior_grid(eta_hat: np.ndarray, freq: FrequencyTable, N: int) -> PosteriorGrid:
     """Evaluate the discretized posterior for one natural parameter vector."""
-    energy = grid_tables(freq, N) @ eta_hat
+    eta_hat = np.array(eta_hat, dtype=float)
+    energy = grid_energy(eta_hat[None], grid_tables(freq, N))[0]
     shift = energy.max()
     weights = np.exp(energy - shift)
     total = weights.sum()
     weights /= total
     log_norm = shift + math.log(total) + freq.n * math.log(TWO_PI / N)
     return PosteriorGrid(
-        N=N, n=freq.n, eta_hat=np.array(eta_hat, dtype=float), weights=weights,
+        N=N, n=freq.n, eta_hat=eta_hat, weights=weights,
         log_norm=log_norm,
     )
 
@@ -145,7 +210,7 @@ def expected_rotation(grid: PosteriorGrid, freq: FrequencyTable) -> np.ndarray:
     These 2L numbers are the blockwise representation of the expected
     rotation; the dense matrix is never formed.
     """
-    return grid.weights @ grid_tables(freq, grid.N)
+    return grid_expectation(grid.weights[None], grid_tables(freq, grid.N))[0]
 
 
 def map_estimate(grid: PosteriorGrid) -> np.ndarray:
@@ -212,17 +277,17 @@ def batch_posterior(
     weights) with weights (B, N**n); summation orders are fixed, so
     results are reproducible bit for bit.
     """
-    table = grid_tables(freq, N)
+    tables = grid_tables(freq, N)
     u = codes @ coupling.T
     eta_hat = _eta_from_coefficients(u, images_coeff, eta_prior, noise_var)
-    energy = eta_hat @ table.T
+    energy = grid_energy(eta_hat, tables)
     energy -= energy.max(axis=1, keepdims=True)
     np.exp(energy, out=energy)
     energy /= energy.sum(axis=1, keepdims=True)
     weights = energy
     post = BatchPosterior(
         eta_hat=eta_hat,
-        rbar=weights @ table,
+        rbar=grid_expectation(weights, tables),
         peak_index=np.argmax(weights, axis=1),
         n=freq.n,
         N=N,

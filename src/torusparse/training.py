@@ -18,8 +18,11 @@ from typing import Optional
 
 import numpy as np
 
+from .datasets import normalize_batch
 from .inference import fista, infer_code_batch, spectral_norm
-from .posterior import BatchPosterior, TorusPrior, grid_tables, posterior_grid
+from .posterior import (
+    BatchPosterior, TorusPrior, block_phases, grid_tables, posterior_grid,
+)
 from .stiefel import StiefelAdamState, phi_update, riemannian_adam_step
 from .torus import (
     FrequencyTable,
@@ -205,7 +208,7 @@ def basis_gradient(
         if grid is None:
             raise ValueError("exact basis gradient requires the posterior grid")
         v = image @ model.basis
-        table = grid_tables(model.freq, grid.N)
+        table = block_phases(model.freq, grid.N)
         rotated = rotate_pairs(table[:, 0::2], table[:, 1::2],
                                np.broadcast_to(u, table.shape))
         second_moment = (rotated * grid.weights[:, None]).T @ rotated
@@ -299,10 +302,7 @@ def _run_epochs(data, dim: int, cfg: TrainConfig, shuffle_key, batch_step,
         raise ValueError(
             f"dataset images have length {images_all.shape[1]}, model needs {dim}"
         )
-    norms = np.linalg.norm(images_all, axis=1)
-    if np.any(norms < 1e-12):
-        raise ValueError("dataset contains a zero image")
-    images_all = images_all / norms[:, None]
+    images_all = normalize_batch(images_all)
 
     shuffle_rng = np.random.default_rng(shuffle_key)
     log: list[tuple] = []

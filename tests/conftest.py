@@ -56,6 +56,16 @@ def dense_rotation(freq: FrequencyTable, s) -> np.ndarray:
     return out
 
 
+def dense_grid_table(freq: FrequencyTable, N: int) -> np.ndarray:
+    """Direct (N**n, 2L) table of interleaved cos/sin(omega_l . s) over the
+    grid lattice (oracle for the separable evaluation in the library)."""
+    theta = grid_lattice(freq.n, N) @ (freq.entries.T * (TWO_PI / N))
+    table = np.empty((theta.shape[0], 2 * freq.L))
+    table[:, 0::2] = np.cos(theta)
+    table[:, 1::2] = np.sin(theta)
+    return table
+
+
 def brute_posterior_weights(image, code, model, N) -> np.ndarray:
     """Normalized P(I|s,code) * P(s) over the grid, residual form."""
     lat = grid_lattice(model.freq.n, N)

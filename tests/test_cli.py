@@ -104,6 +104,21 @@ class TestExitCodes:
         rc = main(["eval", "--ckpt", str(ckpt), "--data", str(ckpt)])
         assert rc == 2
 
+    def test_eval_on_non_finite_image_names_it(self, tmp_path, capsys):
+        from conftest import small_model
+
+        ckpt = tmp_path / "m.ckpt"
+        save_checkpoint(small_model(0, d=16, L=3, k=2, n=1), ckpt)
+        images = np.random.default_rng(0).uniform(0.1, 1.0, (5, 16))
+        images[3, 7] = np.nan
+        data = tmp_path / "nan.ds"
+        save_checkpoint(small_model(0, d=16, L=3, k=2, n=1), data,
+                        dataset=tp.Dataset(images=images, side=4))
+        rc = main(["eval", "--ckpt", str(ckpt), "--data", str(data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "image 3" in err and "non-finite" in err
+
 
 class TestPipeline:
     def test_train_eval_reconstruct_traverse_export(self, tmp_path, deskaux,

@@ -239,6 +239,13 @@ class TestNormalize:
         with pytest.raises(ValueError, match="image 1"):
             normalize_batch(batch)
 
+    def test_non_finite_image_rejected_by_index(self):
+        batch = np.ones((4, 16))
+        batch[2, 5] = np.inf
+        batch[3, 0] = np.nan
+        with pytest.raises(ValueError, match="image 2 has a non-finite"):
+            normalize_batch(batch)
+
 
 def test_dataset_shape_validation():
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,21 @@ class TestCheckpointErrors:
         path.write_bytes(blob + b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("n_grid", [0, 1])
+    def test_grid_size_below_two_rejected(self, model, tmp_path, n_grid):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path, n_grid=37)
+        blob = bytearray(path.read_bytes())
+        # N is the last of the six u32 dimensions, at bytes 28..32
+        assert struct.unpack("<I", bytes(blob[28:32])) == (37,)
+        blob[28:32] = struct.pack("<I", n_grid)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="grid size"):
+            load_checkpoint_full(path)
+        with pytest.raises(CheckpointError, match="grid size"):
+            save_checkpoint(model, tmp_path / "new.ckpt", n_grid=n_grid)
+        assert not (tmp_path / "new.ckpt").exists()
 
 
 class TestParseConfig:

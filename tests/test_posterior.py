@@ -2,22 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import torusparse as tp
 from torusparse.posterior import (
+    batch_posterior,
     expected_rotation,
+    grid_tables,
     log_likelihood,
     map_estimate,
     natural_params,
     posterior_grid,
     posterior_natural_params,
 )
-from torusparse.torus import TWO_PI, build_frequency_table
+from torusparse.torus import (
+    TWO_PI,
+    FrequencyTable,
+    build_frequency_table,
+    frequency_table_auto,
+)
+from torusparse.training import BaselineState, baseline_model_params
 
 from conftest import (
     brute_log_marginal,
     brute_posterior_weights,
     brute_posterior_weights_fast,
+    dense_grid_table,
     point_mass_grid,
     small_model,
 )
@@ -267,3 +277,62 @@ def test_fast_oracle_agrees_with_loop_oracle():
     slow = brute_posterior_weights(image, code, model, 16)
     fast = brute_posterior_weights_fast(image, code, model, 16)
     np.testing.assert_allclose(slow, fast, atol=1e-14)
+
+
+@st.composite
+def frequency_tables(draw):
+    """Canonical-sign rate vectors in random order, later components of
+    either sign, optionally led by the zero rate, each repeated m times."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    raw = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                        min_size=1, max_size=8))
+    rows = []
+    for row in raw:
+        if next((x for x in row if x), 0) < 0:
+            row = [-x for x in row]
+        if any(row) and row not in rows:
+            rows.append(row)
+    if draw(st.booleans()) or not rows:
+        rows.insert(0, [0] * n)
+    entries = np.array([row for row in rows for _ in range(m)], dtype=np.int64)
+    return FrequencyTable(n=n, entries=entries, multiplicity=m)
+
+
+def check_batch_posterior_against_direct(freq, N, scale, seed):
+    rng = np.random.default_rng(seed)
+    width, atoms = 2 * freq.L, 2
+    post, weights = batch_posterior(
+        rng.uniform(-scale, scale, (3, width)) / 2,
+        rng.uniform(0, 1, (3, atoms)),
+        rng.uniform(-1, 1, (width, atoms)),
+        rng.uniform(-scale, scale, width) / 2,
+        1.0, freq, N,
+    )
+    table = dense_grid_table(freq, N)
+    energy = post.eta_hat @ table.T
+    want = np.exp(energy - energy.max(axis=1, keepdims=True))
+    want /= want.sum(axis=1, keepdims=True)
+    tol = 1e-12 * (1.0 + np.abs(post.eta_hat).sum(axis=1, keepdims=True))
+    assert weights.shape == (3, N**freq.n)
+    assert (np.abs(weights - want) <= tol).all()
+    assert (np.abs(post.rbar - want @ table) <= tol).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(freq=frequency_tables(), N=st.integers(2, 9),
+       scale=st.floats(0.0, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_batch_posterior_matches_direct_evaluation(freq, N, scale, seed):
+    check_batch_posterior_against_direct(freq, N, scale, seed)
+
+
+@pytest.mark.parametrize("scale", [0.0, 1.0, 1e3])
+def test_batch_posterior_on_the_baseline_all_zero_table(scale):
+    freq = baseline_model_params(BaselineState(np.eye(8)[:, :3]), 0.01, 1.0).freq
+    check_batch_posterior_against_direct(freq, 11, scale, 7)
+
+
+def test_grid_tables_hold_under_one_megabyte_at_paper_shape():
+    # the separable factors replace a dense (N**n, 2L) table of 20.5 MB
+    tables = grid_tables(frequency_table_auto(2, 128, 1), 100)
+    assert sum(t.nbytes for t in tables) < 1e6

@@ -210,6 +210,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="zero image"):
             train(model, tp.Dataset(images=images, side=4), cfg)
 
+    def test_non_finite_image_rejected_by_index(self):
+        cfg = tiny_config()
+        images = tiny_dataset().images.copy()
+        images[5, 2] = np.nan
+        with pytest.raises(ValueError, match="image 5 has a non-finite"):
+            train(init_model(cfg, 0), tp.Dataset(images=images, side=4), cfg)
+        with pytest.raises(ValueError, match="image 5 has a non-finite"):
+            tp.train_baseline(tp.Dataset(images=images, side=4), cfg)
+
     def test_batch_gradient_order_independence(self):
         model = small_model(12, d=12, L=3, k=3, n=1, sparsity=0.5)
         cfg = tp.TrainConfig(image_dim=12, n_freq=3, n_atoms=3, torus_dim=1,
