@@ -8,9 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .inference import infer_code, infer_code_batch
+from .inference import infer_code
 from .posterior import map_estimate, map_estimate_batch
-from .torus import apply_transform
+from .torus import apply_transform, rotate_pairs
+from .training import _infer_batch_threaded
 
 EVAL_GRID_SIZE = 100
 
@@ -39,24 +40,22 @@ def reconstruct(image: np.ndarray, model, cfg,
 
 def reconstruct_batch(images: np.ndarray, model, cfg,
                       n_grid: int = EVAL_GRID_SIZE, threads: int = 1):
-    """Vectorized reconstruction of many images; returns a list."""
-    from .training import _chunk_slices
+    """Reconstruct many images; returns a list.
 
+    Inference runs in grid-sized chunks on up to ``threads`` threads, as
+    in training; the images are then regenerated in one batched pass.
+    """
     images = np.atleast_2d(np.asarray(images, dtype=float))
-    op = model.operator()
-    recons: list[Reconstruction] = []
-    for sl in _chunk_slices(images.shape[0], max(1, threads)):
-        codes, post = infer_code_batch(images[sl], model, cfg, n_grid=n_grid)
-        angles = map_estimate_batch(post)
-        for code, ang in zip(codes, angles):
-            recons.append(
-                Reconstruction(
-                    code=code,
-                    angles=ang,
-                    image_hat=apply_transform(op, ang, model.dictionary @ code),
-                )
-            )
-    return recons
+    basis = model.operator().basis
+    codes, post = _infer_batch_threaded(images, model, cfg, threads, n_grid=n_grid)
+    angles = map_estimate_batch(post)
+    theta = angles @ model.freq.entries.T
+    coeffs = (codes @ model.dictionary.T) @ basis
+    hats = rotate_pairs(np.cos(theta), np.sin(theta), coeffs) @ basis.T
+    return [
+        Reconstruction(code=code, angles=ang, image_hat=hat)
+        for code, ang, hat in zip(codes, angles, hats)
+    ]
 
 
 def snr(images, recons) -> float:

@@ -2,9 +2,10 @@
 
 The basis lives on the Stiefel manifold. Ambient gradients are projected
 to the tangent space, moments follow the usual Adam recursions, steps are
-retracted with a sign-fixed QR factorization, and the first moment is
-carried to the new tangent space by projection. The dictionary has the
-much weaker unit-column constraint and gets plain projected gradient.
+retracted with the positive-diagonal QR factorization, computed by
+CholeskyQR, and the first moment is carried to the new tangent space by
+projection. The dictionary has the much weaker unit-column constraint
+and gets plain projected gradient.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+QR_ORTHONORMALITY_TOL = 1e-12
 
 
 def tangent_project(point: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -22,16 +25,37 @@ def tangent_project(point: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad - point @ ((inner + inner.T) * 0.5)
 
 
+def positive_qr(y: np.ndarray):
+    """Q factor and R diagonal of the QR factorization of ``y`` whose R
+    diagonal is positive.
+
+    That factorization is unique, so CholeskyQR, Q = Y chol(Y^T Y)^-T,
+    gives the same Q as Householder QR at a fraction of the cost. When the
+    Cholesky factorization fails or Q misses orthonormality by more than
+    QR_ORTHONORMALITY_TOL (Y too ill-conditioned), Householder QR with the
+    diagonal signs fixed is used instead (Fukaya et al. 2014, CholeskyQR2).
+    """
+    try:
+        chol = np.linalg.cholesky(y.T @ y)
+        q = y @ np.linalg.inv(chol).T
+        if np.abs(q.T @ q - np.eye(y.shape[1])).max() <= QR_ORTHONORMALITY_TOL:
+            return q, np.diag(chol)
+    except np.linalg.LinAlgError:
+        pass
+    q, r = np.linalg.qr(y)
+    diag = np.diag(r)
+    return q * np.sign(diag), np.abs(diag)
+
+
 def retract(point: np.ndarray, step: np.ndarray) -> np.ndarray:
     """QR retraction of point + step, with the R diagonal forced positive."""
     if step.shape != point.shape:
         raise ValueError(f"step shape {step.shape} != point shape {point.shape}")
-    q, r = np.linalg.qr(point + step)
-    diag = np.diag(r)
+    q, diag = positive_qr(point + step)
     scale = np.abs(point).max() + np.abs(step).max()
-    if np.any(np.abs(diag) < 1e-12 * max(scale, 1.0)):
+    if np.any(diag < 1e-12 * max(scale, 1.0)):
         raise np.linalg.LinAlgError("rank-deficient retraction input")
-    return q * np.sign(diag)
+    return q
 
 
 @dataclass(eq=False)

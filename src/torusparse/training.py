@@ -23,7 +23,7 @@ from .inference import fista, infer_code_batch, spectral_norm
 from .posterior import (
     BatchPosterior, TorusPrior, block_phases, grid_tables, posterior_grid,
 )
-from .stiefel import StiefelAdamState, phi_update, riemannian_adam_step
+from .stiefel import StiefelAdamState, phi_update, positive_qr, riemannian_adam_step
 from .torus import (
     FrequencyTable,
     TorusOperator,
@@ -33,6 +33,9 @@ from .torus import (
 )
 
 COLUMN_NORM_TOL = 1e-10
+# Most posterior weights (float64, 1 MB) one inference chunk may hold, so
+# that chunks running at the same time stay small in memory.
+CHUNK_WEIGHTS = 131072
 
 
 @dataclass(eq=False)
@@ -139,8 +142,7 @@ def init_model(cfg: TrainConfig, rng_seed: int) -> ModelParams:
     cfg.validate()
     rng = np.random.default_rng(rng_seed)
     raw = rng.standard_normal((cfg.image_dim, 2 * cfg.n_freq))
-    q, r = np.linalg.qr(raw)
-    basis = q * np.sign(np.diag(r))
+    basis = positive_qr(raw)[0]
     dictionary = rng.uniform(size=(cfg.image_dim, cfg.n_atoms))
     dictionary /= np.linalg.norm(dictionary, axis=0)
     freq = frequency_table_auto(
@@ -256,25 +258,32 @@ def _batch_gradients_exact(images, codes, model, post):
     return grads_d / b, grads_b / b, residual_total / b
 
 
-def _chunk_slices(total: int, workers: int):
-    workers = max(1, min(workers, total))
-    bounds = np.linspace(0, total, workers + 1).astype(int)
+def _chunk_slices(total: int, workers: int, grid_points: int):
+    """Even row slices: at least ``workers`` of them, and as many more as
+    keep each slice's (rows, grid_points) posterior weights within
+    CHUNK_WEIGHTS; never more slices than rows."""
+    rows = max(1, CHUNK_WEIGHTS // grid_points)
+    chunks = max(1, min(max(workers, -(-total // rows)), total))
+    bounds = np.linspace(0, total, chunks + 1).astype(int)
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _infer_batch_threaded(images, model, cfg, threads: int):
-    """Chunked inference; results are assembled in chunk order, so a given
-    thread count always reproduces the same bits regardless of scheduling."""
-    slices = _chunk_slices(images.shape[0], threads)
+def _infer_batch_threaded(images, model, cfg, threads: int,
+                          n_grid: Optional[int] = None):
+    """Chunked inference on up to ``threads`` threads, for training and
+    evaluation alike; results are assembled in chunk order, so a given
+    chunking always reproduces the same bits regardless of scheduling."""
+    n_grid = cfg.grid_size if n_grid is None else n_grid
+    slices = _chunk_slices(images.shape[0], threads, n_grid**model.freq.n)
     if len(slices) == 1:
-        return infer_code_batch(images, model, cfg)
+        return infer_code_batch(images, model, cfg, n_grid=n_grid)
     from concurrent.futures import ThreadPoolExecutor
 
-    grid_tables(model.freq, cfg.grid_size)  # build once, before the chunks race
-    with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-        parts = list(
-            pool.map(lambda sl: infer_code_batch(images[sl], model, cfg), slices)
-        )
+    grid_tables(model.freq, n_grid)  # build once, before the chunks race
+    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(slices)))) as pool:
+        parts = list(pool.map(
+            lambda sl: infer_code_batch(images[sl], model, cfg, n_grid=n_grid), slices
+        ))
     codes = np.concatenate([p[0] for p in parts], axis=0)
     post = BatchPosterior(
         eta_hat=np.concatenate([p[1].eta_hat for p in parts], axis=0),

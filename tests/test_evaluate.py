@@ -5,6 +5,7 @@ import pytest
 
 import torusparse as tp
 from torusparse.evaluate import (
+    EVAL_GRID_SIZE,
     Reconstruction,
     export_grid,
     latent_traversal,
@@ -13,6 +14,7 @@ from torusparse.evaluate import (
     snr,
 )
 from torusparse.torus import TWO_PI
+from torusparse.training import _chunk_slices
 
 from conftest import bandlimit, dft_shift_operator, small_model
 
@@ -254,3 +256,61 @@ def test_reconstruct_batch_matches_single():
         single = reconstruct(images[i], model, cfg, n_grid=16)
         np.testing.assert_allclose(batch[i].image_hat, single.image_hat, atol=1e-10)
         np.testing.assert_array_equal(batch[i].angles, single.angles)
+
+
+def cap_chunked_case():
+    """An n=2 model at the evaluation grid N=100 with more images than one
+    chunk's weight cap allows, so the cap, not the thread count, sets the
+    chunks (4 of 10 images each, for up to 4 threads)."""
+    model = small_model(21, d=16, L=4, k=3, n=2, sparsity=0.5)
+    cfg = tp.TrainConfig(image_dim=16, n_freq=4, n_atoms=3, torus_dim=2,
+                         fista_steps=6, grid_size=12, noise_var=0.05,
+                         sparsity=0.5)
+    rng = np.random.default_rng(22)
+    images = rng.uniform(0.05, 1, (40, 16))
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    assert len(_chunk_slices(40, 3, EVAL_GRID_SIZE**2)) == 4
+    return model, cfg, images
+
+
+def test_reconstruct_batch_bits_do_not_depend_on_threads_under_the_cap():
+    model, cfg, images = cap_chunked_case()
+    runs = [reconstruct_batch(images, model, cfg, threads=t) for t in (1, 2, 3)]
+    for field in ("code", "angles", "image_hat"):
+        first = np.stack([getattr(r, field) for r in runs[0]])
+        for other in runs[1:]:
+            np.testing.assert_array_equal(
+                np.stack([getattr(r, field) for r in other]), first
+            )
+
+
+def test_chunked_reconstruct_batch_matches_per_image_reconstruct():
+    model, cfg, images = cap_chunked_case()
+    batch = reconstruct_batch(images, model, cfg, threads=2)
+    for image, recon in zip(images, batch):
+        single = reconstruct(image, model, cfg)
+        np.testing.assert_array_equal(recon.angles, single.angles)
+        np.testing.assert_allclose(recon.image_hat, single.image_hat,
+                                   rtol=0, atol=1e-12)
+
+
+def test_threaded_eval_builds_grid_table_once(monkeypatch):
+    # as for threaded training: a slow lattice widens the window in which
+    # chunk threads could each miss an empty table cache
+    import time
+
+    from torusparse import posterior
+
+    builds = []
+    lattice = posterior.grid_lattice
+
+    def slow_lattice(n, N):
+        builds.append((n, N))
+        time.sleep(0.05)
+        return lattice(n, N)
+
+    model, cfg, images = cap_chunked_case()
+    monkeypatch.setattr(posterior, "_TABLE_CACHE", {})
+    monkeypatch.setattr(posterior, "grid_lattice", slow_lattice)
+    reconstruct_batch(images, model, cfg, threads=2)
+    assert len(builds) == 1

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusparse.stiefel import (
+    QR_ORTHONORMALITY_TOL,
     StiefelAdamState,
     phi_update,
+    positive_qr,
     retract,
     riemannian_adam_step,
     tangent_project,
@@ -159,3 +162,59 @@ class TestPhiUpdate:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             phi_update(np.eye(4, 2), np.zeros((4, 3)), 0.1)
+
+
+def householder_positive_q(y):
+    q, r = np.linalg.qr(y)
+    return q * np.sign(np.diag(r))
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 60),
+       width_frac=st.floats(0.05, 1.0), scale=st.floats(0.0, 0.4))
+@settings(max_examples=60, deadline=None)
+def test_cholesky_qr_retraction_equals_householder_qr(seed, d, width_frac, scale):
+    rng = np.random.default_rng(seed)
+    width = max(1, round(width_frac * d))
+    w = random_stiefel(rng, d, width)
+    step = scale * rng.standard_normal((d, width)) / np.sqrt(d)
+    np.testing.assert_allclose(retract(w, step), householder_positive_q(w + step),
+                               rtol=0, atol=1e-12)
+
+
+def spy_on_householder_qr(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def spy_qr(a):
+        calls.append(a.shape)
+        return qr(a)
+
+    monkeypatch.setattr(np.linalg, "qr", spy_qr)
+    return calls
+
+
+def test_well_conditioned_retraction_takes_the_cholesky_path(monkeypatch):
+    rng = np.random.default_rng(8)
+    w = random_stiefel(rng, 40, 12)
+    step = 0.05 * rng.standard_normal((40, 12))
+    calls = spy_on_householder_qr(monkeypatch)
+    out = retract(w, step)
+    assert calls == []
+    assert np.abs(out.T @ out - np.eye(12)).max() < QR_ORTHONORMALITY_TOL
+
+
+def test_ill_conditioned_input_falls_back_to_householder_qr(monkeypatch):
+    rng = np.random.default_rng(7)
+    u = random_stiefel(rng, 30, 8)
+    v = random_stiefel(rng, 8, 8)
+    y = (u * np.logspace(0, -6, 8)) @ v.T  # condition number 1e6
+    chol = np.linalg.cholesky(y.T @ y)
+    cholesky_q = y @ np.linalg.inv(chol).T
+    assert np.abs(cholesky_q.T @ cholesky_q - np.eye(8)).max() > QR_ORTHONORMALITY_TOL
+
+    calls = spy_on_householder_qr(monkeypatch)
+    q, diag = positive_qr(y)
+    assert calls == [(30, 8)]
+    assert np.abs(q.T @ q - np.eye(8)).max() < QR_ORTHONORMALITY_TOL
+    assert (diag > 0).all()
+    np.testing.assert_array_equal(q, householder_positive_q(y))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, strategies as st
 
 import torusparse as tp
 from torusparse.posterior import (
@@ -9,8 +10,10 @@ from torusparse.posterior import (
     posterior_natural_params,
 )
 from torusparse.training import (
+    CHUNK_WEIGHTS,
     BaselineState,
     _batch_gradients_approx,
+    _chunk_slices,
     basis_gradient,
     dictionary_gradient,
     init_model,
@@ -431,3 +434,27 @@ def test_threaded_training_builds_grid_table_once(monkeypatch):
     cfg = tiny_config(epochs=1)
     train(init_model(cfg, 0), tiny_dataset(), cfg, threads=2)
     assert builds == [(cfg.torus_dim, cfg.grid_size)]
+
+
+@given(total=st.integers(1, 2000), workers=st.integers(1, 12),
+       grid_points=st.integers(1, 300_000))
+def test_chunk_slices_cover_rows_in_order_within_the_weight_cap(
+    total, workers, grid_points
+):
+    slices = _chunk_slices(total, workers, grid_points)
+    rows = [i for sl in slices for i in range(total)[sl]]
+    assert rows == list(range(total))
+    assert len(slices) >= min(workers, total)
+    for sl in slices:
+        size = sl.stop - sl.start
+        assert size == 1 or size * grid_points <= CHUNK_WEIGHTS
+
+
+def test_chunk_count_at_the_paper_shapes():
+    # training (B=100, N=50, n=2) keeps one chunk of 50 per thread
+    assert _chunk_slices(100, 2, 50**2) == [slice(0, 50), slice(50, 100)]
+    # evaluation at N=100 is chunked by the weight cap alone up to 8 threads
+    eval_chunks = _chunk_slices(100, 1, 100**2)
+    assert len(eval_chunks) == 8
+    for threads in range(2, 9):
+        assert _chunk_slices(100, threads, 100**2) == eval_chunks
