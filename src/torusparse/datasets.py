@@ -19,6 +19,16 @@ IDX_LABELS_MAGIC = 0x00000801
 
 TRANSLATE_DEFAULT = ((-7.0, 7.0), (-7.0, 7.0))
 ROTSCALE_DEFAULT = ((-np.deg2rad(75.0), np.deg2rad(75.0)), (0.5, 1.0))
+PARAMETER_NAMES = {"translate2d": ("dx", "dy"), "rotscale": ("theta", "scale")}
+# Largest shift a translation range may reach: past it a float holds no
+# fractional pixel, and past 2**63 the floor of a position no longer fits
+# the int64 pixel index, so a cyclic warp would read garbage weights.
+MAX_SHIFT = 2.0**52
+
+# Output pixels warped per pass of make_synthetic (41 images at 28x28): the
+# temporaries of one pass stay a few MB, where one pass over all samples
+# would hold about 15 arrays of the whole dataset's size.
+WARP_PIXELS = 1 << 15
 
 
 class IdxFormatError(ValueError):
@@ -56,9 +66,20 @@ class TransformSpec:
             raise ValueError(f"unknown transform kind {self.kind!r}")
         if self.count_per_template < 1:
             raise ValueError("count_per_template must be >= 1")
-        for lo, hi in self.ranges:
+        if len(self.ranges) != 2:
+            raise ValueError(f"expected two (lo, hi) ranges, got {len(self.ranges)}")
+        for name, (lo, hi) in zip(PARAMETER_NAMES[self.kind], self.ranges):
+            for which, bound in (("low", lo), ("high", hi)):
+                if not np.isfinite(bound):
+                    raise ValueError(f"{name} {which} bound {bound} is not finite")
             if hi < lo:
                 raise ValueError("parameter range is inverted")
+            if not np.isfinite(hi - lo):
+                raise ValueError(f"{name} range ({lo}, {hi}) is wider than a float holds")
+            if self.kind == "translate2d" and max(-lo, hi) > MAX_SHIFT:
+                raise ValueError(f"{name} range ({lo}, {hi}) shifts beyond 2**52 pixels")
+        if self.kind == "rotscale" and not 0 < self.ranges[1][0] <= self.ranges[1][1] <= 2:
+            raise ValueError(f"scale range {tuple(self.ranges[1])} must lie in (0, 2]")
 
     @classmethod
     def translate2d(cls, count_per_template, ranges=TRANSLATE_DEFAULT, cyclic=False):
@@ -105,42 +126,82 @@ def load_idx_labels(path) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8, offset=8).copy()
 
 
-def _bilinear_sample(img: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+def _bilinear_sample(imgs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                      cyclic: bool) -> np.ndarray:
-    """Sample img at fractional (row, col) positions; zero fill or wrap."""
-    side = img.shape[0]
+    """Sample each imgs[s] at fractional (row, col) positions; zero fill or wrap.
+
+    imgs is (S, side, side); rows and cols broadcast to (S, side, side). The
+    four corners of every sample are gathered at once through flat indices
+    into a framed copy of the images. Cyclic frames append row 0 and
+    column 0 after the last ones, so corner r + 1 of a wrapped r needs no
+    second wrap. Zero frames add two zero rows and columns on every side,
+    and a top-left corner clipped into [-2, side] reads zeros for both of
+    its rows (columns) whenever the unclipped ones lie outside the image.
+    """
+    count, side = imgs.shape[0], imgs.shape[1]
+    if cyclic:
+        framed, pad = np.pad(imgs, ((0, 0), (0, 1), (0, 1)), mode="wrap"), 0
+    else:
+        framed, pad = np.zeros((count, side + 4, side + 4)), 2
+        framed[:, 2:-2, 2:-2] = imgs
+    width = framed.shape[1]
     r0 = np.floor(rows).astype(int)
     c0 = np.floor(cols).astype(int)
     fr = rows - r0
     fc = cols - c0
-    out = np.zeros_like(rows, dtype=float)
-    for dr, dc, weight in (
-        (0, 0, (1 - fr) * (1 - fc)),
-        (0, 1, (1 - fr) * fc),
-        (1, 0, fr * (1 - fc)),
-        (1, 1, fr * fc),
-    ):
-        rr = r0 + dr
-        cc = c0 + dc
-        if cyclic:
-            out += weight * img[np.mod(rr, side), np.mod(cc, side)]
-        else:
-            valid = (rr >= 0) & (rr < side) & (cc >= 0) & (cc < side)
-            vals = img[np.clip(rr, 0, side - 1), np.clip(cc, 0, side - 1)]
-            out += weight * np.where(valid, vals, 0.0)
+    gr = 1 - fr
+    gc = 1 - fc
+    if cyclic:
+        r0, c0 = np.mod(r0, side), np.mod(c0, side)
+    else:
+        r0, c0 = np.clip(r0, -2, side), np.clip(c0, -2, side)
+    base = (np.arange(count) * (width * width) + pad * (width + 1))[:, None, None]
+    corner = (base + r0 * width) + c0
+    out = np.zeros(np.broadcast_shapes(corner.shape, fr.shape, fc.shape))
+    for offset, weight in ((0, gr * gc), (1, gr * fc), (width, fr * gc),
+                           (width + 1, fr * fc)):
+        out += weight * framed.take(corner + offset)
     return out
+
+
+def _translate_positions(side: int, dx: np.ndarray, dy: np.ndarray):
+    """Source (rows, cols) of S translated images, shapes (S, side, 1) and
+    (S, 1, side): each output pixel reads its position less the shift."""
+    grid = np.arange(side, dtype=float)
+    rows = grid[None, :, None] - dy[:, None, None]
+    cols = grid[None, None, :] - dx[:, None, None]
+    return rows, cols
+
+
+def _rot_scale_positions(side: int, theta: np.ndarray, scale: np.ndarray):
+    """Source (rows, cols) of S rotated and scaled images, each (S, side, side):
+    each output pixel reads its offset from the pixel center rotated by
+    -theta and divided by the scale factor."""
+    center = (side - 1) / 2.0
+    u = np.arange(side, dtype=float)[:, None] - center
+    v = np.arange(side, dtype=float)[None, :] - center
+    cos_t = np.cos(theta)[:, None, None]
+    sin_t = np.sin(theta)[:, None, None]
+    scale = scale[:, None, None]
+    src_r = (cos_t * u + sin_t * v) / scale + center
+    src_c = (-sin_t * u + cos_t * v) / scale + center
+    return src_r, src_c
+
+
+def _square_image(img) -> np.ndarray:
+    img = np.asarray(img, dtype=float)
+    if img.ndim != 2 or img.shape[0] != img.shape[1]:
+        raise ValueError(f"expected a square image, got shape {img.shape}")
+    return img
 
 
 def warp_translate(img: np.ndarray, dx: float, dy: float,
                    cyclic: bool = False) -> np.ndarray:
     """Shift image content by (dx, dy) pixels (columns, rows)."""
-    img = np.asarray(img, dtype=float)
-    if img.ndim != 2 or img.shape[0] != img.shape[1]:
-        raise ValueError(f"expected a square image, got shape {img.shape}")
-    side = img.shape[0]
-    rows = np.arange(side, dtype=float)[:, None] - dy + np.zeros((1, side))
-    cols = np.arange(side, dtype=float)[None, :] - dx + np.zeros((side, 1))
-    return _bilinear_sample(img, rows, cols, cyclic)
+    img = _square_image(img)
+    rows, cols = _translate_positions(img.shape[0], np.array([dx], dtype=float),
+                                      np.array([dy], dtype=float))
+    return _bilinear_sample(img[None], rows, cols, cyclic)[0]
 
 
 def warp_rot_scale(img: np.ndarray, theta: float, scale: float) -> np.ndarray:
@@ -151,19 +212,10 @@ def warp_rot_scale(img: np.ndarray, theta: float, scale: float) -> np.ndarray:
     """
     if not 0 < scale <= 2:
         raise ValueError(f"scale must be in (0, 2], got {scale}")
-    img = np.asarray(img, dtype=float)
-    if img.ndim != 2 or img.shape[0] != img.shape[1]:
-        raise ValueError(f"expected a square image, got shape {img.shape}")
-    side = img.shape[0]
-    center = (side - 1) / 2.0
-    rr, cc = np.meshgrid(np.arange(side, dtype=float), np.arange(side, dtype=float),
-                         indexing="ij")
-    u = rr - center
-    v = cc - center
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    src_r = (cos_t * u + sin_t * v) / scale + center
-    src_c = (-sin_t * u + cos_t * v) / scale + center
-    return _bilinear_sample(img, src_r, src_c, cyclic=False)
+    img = _square_image(img)
+    rows, cols = _rot_scale_positions(img.shape[0], np.array([theta], dtype=float),
+                                      np.array([scale], dtype=float))
+    return _bilinear_sample(img[None], rows, cols, cyclic=False)[0]
 
 
 def _sample_rng(seed: int, template_idx: int, sample_idx: int):
@@ -176,31 +228,50 @@ def make_synthetic(templates, spec: TransformSpec, seed: int) -> Dataset:
     """Apply random warps to each template, template-major order.
 
     Parameters are drawn uniformly from the spec ranges using one RNG per
-    (seed, template, sample) triple, and recorded in the dataset meta.
+    (seed, template, sample) triple, and recorded in the dataset meta. The
+    images are then warped WARP_PIXELS output pixels at a time. Raises
+    ValueError naming the first sample whose warp has a non-finite pixel.
     """
     templates = [np.asarray(t, dtype=float) for t in templates]
     if not templates:
         raise ValueError("need at least one template")
     side = templates[0].shape[0]
-    images = np.empty((len(templates) * spec.count_per_template, side * side))
-    meta = np.empty((len(images), 2))
+    if any(t.shape != (side, side) for t in templates):
+        raise ValueError("all templates must share one square shape")
+    count = spec.count_per_template
     (lo0, hi0), (lo1, hi1) = spec.ranges
-    row = 0
-    for ti, template in enumerate(templates):
-        if template.shape != (side, side):
-            raise ValueError("all templates must share one square shape")
-        for si in range(spec.count_per_template):
+    draws = []
+    for ti in range(len(templates)):
+        for si in range(count):
             rng = _sample_rng(seed, ti, si)
-            p0 = rng.uniform(lo0, hi0)
-            p1 = rng.uniform(lo1, hi1)
+            draws.append((rng.uniform(lo0, hi0), rng.uniform(lo1, hi1)))
+    meta = np.array(draws, dtype=float)
+
+    stack = np.stack(templates)
+    cyclic = spec.cyclic and spec.kind == "translate2d"  # rotations zero-fill
+    images = np.empty((len(meta), side, side))
+    block = max(1, WARP_PIXELS // (side * side))
+    for start in range(0, len(meta), block):
+        stop = min(start + block, len(meta))
+        p0, p1 = meta[start:stop, 0], meta[start:stop, 1]
+        with np.errstate(invalid="ignore", over="ignore"):
             if spec.kind == "translate2d":
-                warped = warp_translate(template, p0, p1, cyclic=spec.cyclic)
+                rows, cols = _translate_positions(side, p0, p1)
             else:
-                warped = warp_rot_scale(template, p0, p1)
-            images[row] = warped.ravel()
-            meta[row] = (p0, p1)
-            row += 1
-    return Dataset(images=images, side=side, meta=meta)
+                rows, cols = _rot_scale_positions(side, p0, p1)
+            warped = _bilinear_sample(stack[np.arange(start, stop) // count],
+                                      rows, cols, cyclic)
+        finite = np.isfinite(warped).reshape(stop - start, -1).all(axis=1)
+        if not finite.all():
+            row = start + int(np.argmin(finite))
+            (name0, name1), (value0, value1) = PARAMETER_NAMES[spec.kind], meta[row]
+            raise ValueError(
+                f"template {row // count} sample {row % count} "
+                f"({name0}={float(value0)!r}, {name1}={float(value1)!r}) "
+                "warps to a non-finite pixel"
+            )
+        images[start:stop] = warped
+    return Dataset(images=images.reshape(len(meta), side * side), side=side, meta=meta)
 
 
 def normalize_batch(images: np.ndarray) -> np.ndarray:

@@ -62,24 +62,28 @@ def save_checkpoint(model: ModelParams, path, n_grid: int = 50,
     if n_grid < 2:
         raise CheckpointError(f"grid size N is {n_grid}; must be >= 2")
     flags = FLAG_DATASET if dataset is not None else 0
+    # Each part goes to the file through the buffer protocol: arrays already
+    # in the stored dtype and order are written without a copy, and the
+    # transpose of a Fortran-ordered array is the C buffer of its columns.
     parts = [
         MAGIC,
         struct.pack("<HH", VERSION, flags),
         struct.pack("<6I", d, k, L, model.freq.n, model.freq.multiplicity, n_grid),
-        model.freq.entries.astype("<i4").tobytes(),
-        model.basis.astype("<f8").tobytes(order="F"),
-        model.dictionary.astype("<f8").tobytes(order="F"),
-        model.prior.kappa.astype("<f8").tobytes(),
-        model.prior.mu.astype("<f8").tobytes(),
+        np.ascontiguousarray(model.freq.entries, dtype="<i4"),
+        np.asfortranarray(model.basis, dtype="<f8").T,
+        np.asfortranarray(model.dictionary, dtype="<f8").T,
+        np.ascontiguousarray(model.prior.kappa, dtype="<f8"),
+        np.ascontiguousarray(model.prior.mu, dtype="<f8"),
         struct.pack("<dd", model.noise_var, model.sparsity),
     ]
     if dataset is not None:
         if dataset.images.shape[1] != d:
             raise CheckpointError("dataset image length does not match model D")
         parts.append(struct.pack("<I", dataset.images.shape[0]))
-        parts.append(dataset.images.astype("<f8").tobytes())
+        parts.append(np.ascontiguousarray(dataset.images, dtype="<f8"))
     with open(path, "wb") as handle:
-        handle.write(b"".join(parts))
+        for part in parts:
+            handle.write(part)
 
 
 @dataclass(eq=False)
@@ -89,7 +93,8 @@ class CheckpointContents:
     dataset: Optional[Dataset]
 
 
-def _read_exact(blob: bytes, offset: int, size: int, what: str) -> tuple[bytes, int]:
+def _read_exact(blob: memoryview, offset: int, size: int,
+                what: str) -> tuple[memoryview, int]:
     if offset + size > len(blob):
         raise CheckpointError(
             f"payload truncated reading {what} at byte {offset} (need {size} bytes)"
@@ -100,10 +105,10 @@ def _read_exact(blob: bytes, offset: int, size: int, what: str) -> tuple[bytes, 
 def load_checkpoint_full(path) -> CheckpointContents:
     """Load and validate the container, returning model, grid size, dataset."""
     with open(path, "rb") as handle:
-        blob = handle.read()
+        blob = memoryview(handle.read())
     raw, offset = _read_exact(blob, 0, 4, "magic")
     if raw != MAGIC:
-        raise BadMagicError(f"bad magic {raw!r}")
+        raise BadMagicError(f"bad magic {bytes(raw)!r}")
     raw, offset = _read_exact(blob, offset, 4, "version/flags")
     version, flags = struct.unpack("<HH", raw)
     if version != VERSION:

@@ -282,3 +282,60 @@ def bandlimit(x: np.ndarray, freqs=(1, 2, 3)) -> np.ndarray:
         s = np.sin(TWO_PI * k * i / d)
         out += (x @ c) / (c @ c) * c + (x @ s) / (s @ s) * s
     return out
+
+
+def bilinear_sample(img, rows, cols, cyclic) -> np.ndarray:
+    """Per-image bilinear sampler with explicit validity masks: sample one
+    (side, side) image at fractional (row, col) positions, zero fill or
+    wrap (oracle for the batched warp kernel in the library)."""
+    side = img.shape[0]
+    r0 = np.floor(rows).astype(int)
+    c0 = np.floor(cols).astype(int)
+    fr = rows - r0
+    fc = cols - c0
+    out = np.zeros_like(rows, dtype=float)
+    for dr, dc, weight in (
+        (0, 0, (1 - fr) * (1 - fc)),
+        (0, 1, (1 - fr) * fc),
+        (1, 0, fr * (1 - fc)),
+        (1, 1, fr * fc),
+    ):
+        rr = r0 + dr
+        cc = c0 + dc
+        if cyclic:
+            out += weight * img[np.mod(rr, side), np.mod(cc, side)]
+        else:
+            valid = (rr >= 0) & (rr < side) & (cc >= 0) & (cc < side)
+            vals = img[np.clip(rr, 0, side - 1), np.clip(cc, 0, side - 1)]
+            out += weight * np.where(valid, vals, 0.0)
+    return out
+
+
+def oracle_warp(img, kind, p0, p1, cyclic=False) -> np.ndarray:
+    """One image warped by translation (p0, p1) = (dx, dy) or by rotation
+    and scaling (p0, p1) = (theta, scale), positions built per pixel grid."""
+    side = img.shape[0]
+    rr, cc = np.meshgrid(np.arange(side, dtype=float), np.arange(side, dtype=float),
+                         indexing="ij")
+    if kind == "translate2d":
+        return bilinear_sample(img, rr - p1, cc - p0, cyclic)
+    center = (side - 1) / 2.0
+    u, v = rr - center, cc - center
+    cos_t, sin_t = np.cos(p0), np.sin(p0)
+    src_r = (cos_t * u + sin_t * v) / p1 + center
+    src_c = (-sin_t * u + cos_t * v) / p1 + center
+    return bilinear_sample(img, src_r, src_c, cyclic=False)
+
+
+def oracle_synthetic(templates, spec, seed):
+    """(images, meta) of make_synthetic, one RNG and one warp per sample."""
+    images, meta = [], []
+    (lo0, hi0), (lo1, hi1) = spec.ranges
+    for ti, template in enumerate(templates):
+        for si in range(spec.count_per_template):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, ti, si]))
+            p0, p1 = rng.uniform(lo0, hi0), rng.uniform(lo1, hi1)
+            images.append(oracle_warp(template, spec.kind, p0, p1, spec.cyclic).ravel())
+            meta.append((p0, p1))
+    return np.array(images), np.array(meta)

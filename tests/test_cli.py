@@ -77,6 +77,36 @@ class TestGenData:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("kind, flags, message", [
+        ("translate2d", ["--dx", "nan", "nan"], "dx low bound nan is not finite"),
+        ("rotscale", ["--theta", "nan", "nan"], "theta low bound nan is not finite"),
+        ("translate2d", ["--dy", "0", "inf"], "dy high bound inf is not finite"),
+        ("translate2d", ["--dx", str(-10**308), "1e308"], "dx range"),
+        ("rotscale", ["--scale", "0.5", "3"], "scale range (0.5, 3.0) must lie in (0, 2]"),
+    ])
+    def test_bad_range_is_exit_2(self, tmp_path, templates_idx, capsys, kind, flags,
+                                 message):
+        out = tmp_path / "out.ds"
+        rc = main(["gen-data", "--kind", kind, "--templates", str(templates_idx),
+                   "--count-per-template", "2", "--seed", "0", "--out", str(out),
+                   *flags])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scale_that_warps_to_non_finite_pixels_names_the_sample(
+            self, tmp_path, templates_idx, capsys):
+        out = tmp_path / "out.ds"
+        rc = main(["gen-data", "--kind", "rotscale", "--templates", str(templates_idx),
+                   "--count-per-template", "2", "--seed", "0", "--out", str(out),
+                   "--scale", "1e-300", "1e-300"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "template 0 sample 0 (theta=" in err
+        assert "scale=1e-300) warps to a non-finite pixel" in err
+        assert not out.exists()
+
+
 class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -1,8 +1,14 @@
+import hashlib
+import re
 import struct
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from torusparse import datasets
 from torusparse.datasets import (
     Dataset,
     IdxFormatError,
@@ -14,6 +20,8 @@ from torusparse.datasets import (
     warp_rot_scale,
     warp_translate,
 )
+
+from conftest import oracle_synthetic, oracle_warp
 
 
 def write_idx_images(path, images):
@@ -217,6 +225,107 @@ class TestMakeSynthetic:
             TransformSpec("rotscale", ((1, 0), (0, 1)), 5)
         with pytest.raises(ValueError):
             TransformSpec("rotscale", ((0, 1), (0, 1)), 0)
+
+
+class TestSyntheticGoldenHash:
+    """SHA-256 of images + meta for fixed 28x28 templates, recorded from the
+    per-image warp loop that the batched kernel replaced. Translation uses
+    only + - x and floor, so these hashes hold on every platform. 37 samples
+    per template is not a multiple of the warp block."""
+
+    TEMPLATES = np.random.default_rng(505).integers(0, 256, (3, 28, 28)) / 255.0
+
+    @pytest.mark.parametrize("cyclic, digest", [
+        (False, "5877c3ec35268e2c9171a049964638c4fb24461619ff6e55779c4c4812c1069d"),
+        (True, "b88333a8bb01f0c1000e486d12ca44ff8762c995aa8674d179a27147f77714ef"),
+    ])
+    def test_translate2d_dataset_bytes(self, cyclic, digest):
+        spec = TransformSpec.translate2d(37, cyclic=cyclic)
+        ds = make_synthetic(list(self.TEMPLATES), spec, seed=2020)
+        blob = ds.images.tobytes() + ds.meta.tobytes()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@st.composite
+def synthetic_cases(draw):
+    """(templates, spec, seed, warp pixels per pass) over both warp kinds,
+    zero-width ranges, shifts beyond the image and scales up to 2, with
+    passes small enough that the samples straddle their boundaries."""
+    side = draw(st.sampled_from([2, 5, 28]))
+    kind = draw(st.sampled_from(["translate2d", "rotscale"]))
+    if kind == "translate2d":
+        shift = st.floats(-3.0 * side, 3.0 * side)
+        values = (shift, shift)
+    else:
+        values = (st.floats(-4.0, 4.0), st.one_of(st.just(2.0), st.floats(1e-3, 2.0)))
+    ranges = []
+    for value in values:
+        lo, hi = sorted((draw(value), draw(value)))
+        ranges.append((lo, lo if draw(st.booleans()) else hi))
+    spec = TransformSpec(kind, tuple(ranges), draw(st.integers(1, 30)),
+                         cyclic=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    templates = list(rng.uniform(0, 1, (draw(st.integers(1, 3)), side, side)))
+    pixels = draw(st.sampled_from([1, 7 * side * side, datasets.WARP_PIXELS]))
+    return templates, spec, draw(st.integers(0, 2**64 - 1)), pixels
+
+
+class TestBatchedWarp:
+    @settings(max_examples=80, deadline=None)
+    @given(case=synthetic_cases())
+    def test_make_synthetic_matches_per_image_oracle(self, case):
+        templates, spec, seed, pixels = case
+        with mock.patch.object(datasets, "WARP_PIXELS", pixels):
+            ds = make_synthetic(templates, spec, seed)
+        images, meta = oracle_synthetic(templates, spec, seed)
+        assert ds.meta.tobytes() == meta.tobytes()
+        assert ds.images.tobytes() == images.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(side=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
+           dx=st.floats(-20, 20), dy=st.floats(-20, 20), cyclic=st.booleans(),
+           theta=st.floats(-7, 7), scale=st.floats(1e-3, 2.0))
+    def test_public_warps_match_per_image_oracle(self, side, seed, dx, dy, cyclic,
+                                                 theta, scale):
+        img = np.random.default_rng(seed).uniform(0, 1, (side, side))
+        want = oracle_warp(img, "translate2d", dx, dy, cyclic)
+        assert warp_translate(img, dx, dy, cyclic).tobytes() == want.tobytes()
+        want = oracle_warp(img, "rotscale", theta, scale)
+        assert warp_rot_scale(img, theta, scale).tobytes() == want.tobytes()
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("kind, ranges, message", [
+        ("translate2d", ((np.nan, 1.0), (0.0, 0.0)), "dx low bound nan"),
+        ("translate2d", ((0.0, 1.0), (-np.inf, 0.0)), "dy low bound -inf"),
+        ("rotscale", ((0.0, np.inf), (0.5, 1.0)), "theta high bound inf"),
+        ("rotscale", ((-1e308, 1e308), (0.5, 1.0)), "theta range"),
+        ("rotscale", ((0.0, 1.0), (0.0, 1.0)), "scale range"),
+        ("rotscale", ((0.0, 1.0), (0.5, 2.5)), "scale range"),
+        ("translate2d", ((0.0, 2.0**53), (0.0, 0.0)), "beyond 2**52"),
+        ("translate2d", ((0.0, 1.0),), "two (lo, hi) ranges"),
+    ])
+    def test_bad_range_named(self, kind, ranges, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TransformSpec(kind, ranges, 3)
+
+    def test_scale_two_and_shift_2_52_accepted(self):
+        TransformSpec("rotscale", ((0.0, 0.0), (2.0, 2.0)), 1)
+        TransformSpec("translate2d", ((-(2.0**52), 2.0**52), (0.0, 0.0)), 1, cyclic=True)
+
+    def test_non_finite_warp_names_first_sample(self):
+        templates = [np.ones((4, 4)), np.ones((4, 4))]
+        spec = TransformSpec("rotscale", ((0.0, 0.0), (1e-300, 1e-300)), 3)
+        with pytest.raises(ValueError,
+                           match=r"template 0 sample 0 \(theta=0\.0, scale=1e-300\)"):
+            make_synthetic(templates, spec, seed=0)
+
+    def test_non_finite_template_named(self):
+        templates = [np.ones((4, 4)), np.ones((4, 4))]
+        templates[1][2, 2] = np.nan
+        spec = TransformSpec("translate2d", ((0.0, 0.0), (0.0, 0.0)), 3)
+        with pytest.raises(ValueError, match="template 1 sample 0 "):
+            make_synthetic(templates, spec, seed=0)
 
 
 class TestNormalize:

@@ -1,7 +1,10 @@
 import struct
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import torusparse as tp
 from torusparse.io import (
@@ -62,6 +65,67 @@ class TestCheckpointRoundTrip:
         ds = tp.Dataset(images=np.ones((2, 9)), side=3)
         with pytest.raises(CheckpointError):
             save_checkpoint(model, tmp_path / "bad.ckpt", dataset=ds)
+
+
+@st.composite
+def checkpoint_cases(draw):
+    """(model, n_grid, dataset or None) at random small shapes, with the
+    basis and the images sometimes held in Fortran order."""
+    side = draw(st.sampled_from([2, 4, 6]))
+    d = side * side
+    model = small_model(draw(st.integers(0, 2**16)), d=d, L=draw(st.integers(1, d // 2)),
+                        k=draw(st.integers(1, 4)), n=draw(st.integers(1, 3)),
+                        kappa_scale=draw(st.sampled_from([0.0, 1.5])))
+    if draw(st.booleans()):
+        model.basis = np.asfortranarray(model.basis)
+    dataset = None
+    if draw(st.booleans()):
+        images = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(
+            0, 1, (draw(st.integers(0, 5)), d))
+        if draw(st.booleans()):
+            images = np.asfortranarray(images)
+        dataset = tp.Dataset(images=images, side=side)
+    return model, draw(st.integers(2, 500)), dataset
+
+
+class TestCheckpointBuffers:
+    @settings(max_examples=60, deadline=None)
+    @given(case=checkpoint_cases())
+    def test_save_load_save_is_byte_identical(self, case, tmp_path_factory):
+        model, n_grid, dataset = case
+        root = tmp_path_factory.mktemp("ckpt")
+        first, second = root / "first.ckpt", root / "second.ckpt"
+        save_checkpoint(model, first, n_grid=n_grid, dataset=dataset)
+        loaded = load_checkpoint_full(first)
+        save_checkpoint(loaded.model, second, n_grid=loaded.n_grid,
+                        dataset=loaded.dataset)
+        assert second.read_bytes() == first.read_bytes()
+        assert loaded.model.basis.tobytes() == np.ascontiguousarray(model.basis).tobytes()
+        if dataset is not None:
+            assert loaded.dataset.images.tobytes() == \
+                np.ascontiguousarray(dataset.images).tobytes()
+
+    def test_loaded_arrays_are_writable_c_ordered_and_independent(self, model, tmp_path):
+        sq_model = small_model(3, d=16, L=3, k=2, n=2, kappa_scale=1.0)
+        ds = tp.Dataset(images=np.random.default_rng(2).uniform(0, 1, (3, 16)), side=4)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(sq_model, path, dataset=ds)
+        loaded = load_checkpoint_full(path)
+        arrays = [loaded.model.basis, loaded.model.dictionary, loaded.model.freq.entries,
+                  loaded.model.prior.kappa, loaded.model.prior.mu, loaded.dataset.images]
+        for array in arrays:
+            assert array.flags.writeable and array.flags.c_contiguous
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
+    def test_bad_magic_message_shows_the_bytes(self, model, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        blob[:4] = b"XSC1"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(BadMagicError, match=r"^bad magic b'XSC1'$"):
+            load_checkpoint(path)
 
 
 class TestCheckpointErrors:
