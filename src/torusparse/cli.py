@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -45,6 +46,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Read "-1e3", "-.5E-2", "-inf" and "-nan" as negative values, not
+        # as flags (argparse's own pattern knows only plain decimals).
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -166,8 +174,7 @@ def _cmd_train(args, baseline: bool) -> int:
         )
     log_path = args.out + ".log"
     if baseline:
-        state, _ = train_baseline(dataset, cfg, threads=args.threads,
-                                  log_path=log_path)
+        state, _ = train_baseline(dataset, cfg, log_path=log_path)
         model = baseline_model_params(state, cfg.noise_var, cfg.sparsity)
     else:
         model = init_model(cfg, cfg.seed)

@@ -113,6 +113,8 @@ def load_checkpoint_full(path) -> CheckpointContents:
     version, flags = struct.unpack("<HH", raw)
     if version != VERSION:
         raise VersionError(f"unsupported version {version} (expected {VERSION})")
+    if flags & ~FLAG_DATASET:
+        raise CheckpointError(f"unknown flag bits {flags & ~FLAG_DATASET:#06x}")
     raw, offset = _read_exact(blob, offset, 24, "dimensions")
     d, k, L, n, m, n_grid = struct.unpack("<6I", raw)
     if n_grid < 2:

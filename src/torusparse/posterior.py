@@ -17,6 +17,9 @@ import numpy as np
 from .torus import TWO_PI, FrequencyTable
 
 GRID_POINT_LIMIT = 10_000_000
+# Images per pass of ``rotation_second_moment``: each pass gathers
+# (rows, 2L^2) complex values, 8.4 MB at L = 128.
+MOMENT_ROWS = 16
 
 _TABLE_CACHE: dict = {}
 
@@ -33,6 +36,10 @@ class TorusPrior:
         self.mu = np.asarray(self.mu, dtype=float).reshape(-1)
         if self.kappa.shape != self.mu.shape:
             raise ValueError("kappa and mu must have equal length")
+        for name in ("kappa", "mu"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                raise ValueError(f"prior {name}[{bad[0]}] is not finite")
         if np.any(self.kappa < 0):
             raise ValueError("concentrations must be nonnegative")
 
@@ -133,17 +140,29 @@ def grid_expectation(weights: np.ndarray, tables: tuple) -> np.ndarray:
     return np.take(partial.reshape(b, -1), cells, axis=1).view(float)
 
 
-def block_phases(freq: FrequencyTable, N: int) -> np.ndarray:
-    """Dense (N**n, 2L) table of cos/sin(omega_l . s), interleaved, built
-    from the cached factors on each call (not cached itself: only the
-    exact-mode second moment needs every block at every grid point)."""
-    *phases, cells = grid_tables(freq, N)
-    coords = np.unravel_index(cells, [p.shape[1] for p in phases])
-    dense = np.ones((1, cells.shape[0]), dtype=complex)
-    for phase, position in zip(phases, coords):
-        axis = np.take(phase, position, axis=1)
-        dense = (dense[:, None] * axis).reshape(-1, cells.shape[0])
-    return dense.view(float)
+def rotation_second_moment(u: np.ndarray, weights: np.ndarray,
+                           freq: FrequencyTable, N: int) -> np.ndarray:
+    """Sum over a batch of E[R(s) u_i u_i^T R(s)^T], (2L, 2L), for (B, 2L)
+    coefficients u under (B, N**n) grid weights, MOMENT_ROWS images a pass.
+
+    With z_l = e^{i omega_l . s} w_l, w_l = u_lc + i u_ls, and the posterior's
+    characteristic function phi(k) = sum_s w(s) e^{i k . s}, E[z_l conj(z_m)] =
+    phi(omega_l - omega_m) w_l conj(w_m) and E[z_l z_m] = phi(omega_l + omega_m)
+    w_l w_m: each real 2x2 block is a half-sum of their real and imaginary parts.
+    """
+    L, e = freq.L, freq.entries
+    pairs = np.concatenate([e[:, None] - e[None], e[:, None] + e[None]])
+    tables = grid_tables(FrequencyTable(freq.n, pairs.reshape(-1, freq.n), 1), N)
+    w = np.ascontiguousarray(u).view(complex)
+    p_q = 0.0
+    for rows in (slice(a, a + MOMENT_ROWS) for a in range(0, w.shape[0], MOMENT_ROWS)):
+        phi = grid_expectation(weights[rows], tables).view(complex).reshape(-1, 2, L, L)
+        p_q = p_q + np.einsum("bl,bkm,bklm->klm", w[rows],
+                              np.stack([w[rows].conj(), w[rows]], axis=1), phi)
+    p, q = p_q
+    moment = np.stack([np.stack([p.real + q.real, q.imag - p.imag], axis=-1),
+                       np.stack([p.imag + q.imag, p.real - q.real], axis=-1)], axis=1)
+    return 0.5 * moment.reshape(2 * L, 2 * L)
 
 
 @dataclass(eq=False)

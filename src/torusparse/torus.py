@@ -71,6 +71,8 @@ class FrequencyTable:
 def validate_frequency_table(freq: FrequencyTable) -> None:
     """Raise ValueError unless the table satisfies all structural rules."""
     ent = freq.entries
+    if freq.n < 1:
+        raise ValueError(f"torus dimension n is {freq.n}; must be >= 1")
     if ent.shape != (freq.L, freq.n):
         raise ValueError("frequency table shape mismatch")
     if freq.multiplicity < 1:
@@ -187,7 +189,7 @@ class TorusOperator:
             raise ValueError("2L must not exceed D")
         gram = self.basis.T @ self.basis
         err = np.abs(gram - np.eye(width)).max()
-        if err > ORTHONORMALITY_TOL:
+        if not err <= ORTHONORMALITY_TOL:  # NaN entries fail too
             raise ValueError(f"basis columns not orthonormal (max error {err:.3e})")
 
     @property

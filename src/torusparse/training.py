@@ -21,7 +21,8 @@ import numpy as np
 from .datasets import normalize_batch
 from .inference import fista, infer_code_batch, spectral_norm
 from .posterior import (
-    BatchPosterior, TorusPrior, block_phases, grid_tables, posterior_grid,
+    BatchPosterior, TorusPrior, batch_posterior, grid_tables, natural_params,
+    rotation_second_moment,
 )
 from .stiefel import StiefelAdamState, phi_update, positive_qr, riemannian_adam_step
 from .torus import (
@@ -69,10 +70,13 @@ class ModelParams:
             raise ValueError("need at least one rotation block and one atom")
         self.operator()  # basis width, even D, 2L <= D, orthonormal columns
         col_err = np.abs(np.linalg.norm(self.dictionary, axis=0) - 1.0).max()
-        if col_err > COLUMN_NORM_TOL:
+        if not col_err <= COLUMN_NORM_TOL:
             raise ValueError(f"dictionary columns not unit norm (error {col_err:.3e})")
         if self.dictionary.shape[0] != self.dim:
             raise ValueError("dictionary rows do not match model dimension")
+        for name in ("noise_var", "sparsity"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.noise_var > 0:
             raise ValueError("noise variance must be positive")
         if self.sparsity < 0:
@@ -105,23 +109,14 @@ class TrainConfig:
     include_zero_freq: bool = True
 
     def validate(self) -> None:
-        positive = {
-            "batch_size": self.batch_size,
-            "fista_steps": self.fista_steps,
-            "epochs": self.epochs,
-            "lr_dict": self.lr_dict,
-            "lr_basis": self.lr_basis,
-            "code_init": self.code_init,
-            "torus_dim": self.torus_dim,
-            "n_freq": self.n_freq,
-            "n_atoms": self.n_atoms,
-            "multiplicity": self.multiplicity,
-            "image_dim": self.image_dim,
-            "noise_var": self.noise_var,
-        }
-        for name, value in positive.items():
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        for name in ("lr_dict", "lr_basis", "code_init", "noise_var", "sparsity"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("batch_size", "fista_steps", "epochs", "lr_dict", "lr_basis",
+                     "code_init", "torus_dim", "n_freq", "n_atoms", "multiplicity",
+                     "image_dim", "noise_var"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
         if self.sparsity < 0:
@@ -160,68 +155,33 @@ def init_model(cfg: TrainConfig, rng_seed: int) -> ModelParams:
     return model
 
 
-def dictionary_gradient(
-    image: np.ndarray, code: np.ndarray, model, rbar: np.ndarray,
-    mode: str = "approximate",
-) -> np.ndarray:
-    """Likelihood ascent gradient for the dictionary at one image."""
-    image = np.asarray(image, dtype=float)
-    code = np.asarray(code, dtype=float)
+def _gradients_at(image, code, model, rbar, mode, grid=None):
+    """The batch gradients as a B=1 call, behind the per-image functions."""
+    image, code = np.asarray(image, dtype=float), np.asarray(code, dtype=float)
     if image.shape[-1] != model.dim or code.shape[-1] != model.n_atoms:
         raise ValueError("image/code shapes do not match model")
-    rc, rs = rbar[0::2], rbar[1::2]
-    u = (model.dictionary @ code) @ model.basis
-    if mode == "exact":
-        v = image @ model.basis
-        back = model.basis @ (rotate_pairs(rc, rs, v, adjoint=True) - u)
-    elif mode == "approximate":
-        residual = image - rotate_pairs(rc, rs, u) @ model.basis.T
-        back = model.basis @ rotate_pairs(rc, rs, residual @ model.basis, adjoint=True)
-    else:
-        raise ValueError(f"unknown gradient mode {mode!r}")
-    return np.outer(back, code) / model.noise_var
-
-
-def basis_gradient(
-    image: np.ndarray, code: np.ndarray, model, rbar: np.ndarray,
-    mode: str = "approximate", grid=None,
-) -> np.ndarray:
-    """Ambient likelihood ascent gradient for the basis at one image.
-
-    The approximate form treats the expected transform and expected
-    residual as independent. The exact form keeps the second-moment
-    rotation term, evaluated by quadrature over the supplied posterior
-    grid; it exists for validation, not for routine training.
-    """
-    image = np.asarray(image, dtype=float)
-    code = np.asarray(code, dtype=float)
-    if image.shape[-1] != model.dim or code.shape[-1] != model.n_atoms:
-        raise ValueError("image/code shapes do not match model")
-    rc, rs = rbar[0::2], rbar[1::2]
-    template = model.dictionary @ code
-    u = template @ model.basis
+    args = (image[None], code[None], model, np.asarray(rbar, dtype=float)[None])
     if mode == "approximate":
-        rec = rotate_pairs(rc, rs, u) @ model.basis.T
-        residual = image - rec
-        back = rotate_pairs(rc, rs, residual @ model.basis, adjoint=True)
-        grad = np.outer(residual, rotate_pairs(rc, rs, u)) + np.outer(template, back)
-        return grad / model.noise_var
-    if mode == "exact":
-        if grid is None:
-            raise ValueError("exact basis gradient requires the posterior grid")
-        v = image @ model.basis
-        table = block_phases(model.freq, grid.N)
-        rotated = rotate_pairs(table[:, 0::2], table[:, 1::2],
-                               np.broadcast_to(u, table.shape))
-        second_moment = (rotated * grid.weights[:, None]).T @ rotated
-        grad = (
-            np.outer(template, rotate_pairs(rc, rs, v, adjoint=True))
-            + np.outer(image, rotate_pairs(rc, rs, u))
-            - np.outer(template, u)
-            - model.basis @ second_moment
-        )
-        return grad / model.noise_var
-    raise ValueError(f"unknown gradient mode {mode!r}")
+        return _batch_gradients_approx(*args)
+    if mode != "exact":
+        raise ValueError(f"unknown gradient mode {mode!r}")
+    posterior = () if grid is None else (grid.weights[None], grid.N)
+    return _batch_gradients_exact(*args, *posterior)
+
+
+def dictionary_gradient(image, code, model, rbar, mode="approximate"):
+    """Likelihood ascent gradient for the dictionary at one image."""
+    return _gradients_at(image, code, model, rbar, mode)[0]
+
+
+def basis_gradient(image, code, model, rbar, mode="approximate", grid=None):
+    """Ambient likelihood ascent gradient for the basis at one image. The
+    approximate form treats the expected transform and expected residual
+    as independent; the exact form keeps the rotation's second moment
+    under the posterior ``grid``."""
+    if mode == "exact" and grid is None:
+        raise ValueError("exact basis gradient requires the posterior grid")
+    return _gradients_at(image, code, model, rbar, mode, grid)[1]
 
 
 def _batch_gradients_approx(images, codes, model, rbar):
@@ -241,21 +201,24 @@ def _batch_gradients_approx(images, codes, model, rbar):
     return grad_dict, grad_basis, mean_sq_residual
 
 
-def _batch_gradients_exact(images, codes, model, post):
-    grads_d = np.zeros_like(model.dictionary)
-    grads_b = np.zeros_like(model.basis)
-    residual_total = 0.0
-    for i in range(images.shape[0]):
-        grid = posterior_grid(post.eta_hat[i], model.freq, post.N)
-        rbar = post.rbar[i]
-        grads_d += dictionary_gradient(images[i], codes[i], model, rbar, "exact")
-        grads_b += basis_gradient(images[i], codes[i], model, rbar, "exact", grid)
-        rc, rs = rbar[0::2], rbar[1::2]
-        u = ((model.dictionary @ codes[i]) @ model.basis)
-        rec = rotate_pairs(rc, rs, u) @ model.basis.T
-        residual_total += float(np.sum((images[i] - rec) ** 2))
-    b = images.shape[0]
-    return grads_d / b, grads_b / b, residual_total / b
+def _batch_gradients_exact(images, codes, model, rbar, weights=None, n_grid=None):
+    """Batch-mean exact gradients: the approximate ones with E[R^T R] = I in
+    place of rho in the back term, and the second moment of R u under the
+    (B, N**n) grid ``weights`` in place of (R u)(R u)^T in the basis term.
+    Without weights the basis gradient is None."""
+    grad_dict, grad_basis, residual = _batch_gradients_approx(images, codes, model, rbar)
+    rc, rs = rbar[:, 0::2], rbar[:, 1::2]
+    u = codes @ (model.basis.T @ model.dictionary).T
+    shrink = (1.0 - np.repeat(rc * rc + rs * rs, 2, axis=1)) * u
+    scale = images.shape[0] * model.noise_var
+    grad_dict = grad_dict - model.basis @ (shrink.T @ codes) / scale
+    if weights is None:
+        return grad_dict, None, residual
+    ru = rotate_pairs(rc, rs, u)
+    spread = rotation_second_moment(u, weights, model.freq, n_grid) - ru.T @ ru
+    templates = codes @ model.dictionary.T
+    grad_basis = grad_basis - (templates.T @ shrink + model.basis @ spread) / scale
+    return grad_dict, grad_basis, residual
 
 
 def _chunk_slices(total: int, workers: int, grid_points: int):
@@ -366,7 +329,11 @@ def train(
         nonlocal model, adam
         codes, post = _infer_batch_threaded(batch, model, cfg, threads)
         if cfg.grad_mode == "exact":
-            grad_d, grad_b, residual = _batch_gradients_exact(batch, codes, model, post)
+            post, weights = batch_posterior(
+                batch @ model.basis, codes, model.basis.T @ model.dictionary,
+                natural_params(model.prior), model.noise_var, model.freq, post.N)
+            grad_d, grad_b, residual = _batch_gradients_exact(
+                batch, codes, model, post.rbar, weights, post.N)
         else:
             grad_d, grad_b, residual = _batch_gradients_approx(
                 batch, codes, model, post.rbar
@@ -403,7 +370,7 @@ def _baseline_infer(images, dictionary, cfg):
 
 
 def train_baseline(
-    data, cfg: TrainConfig, threads: int = 1, log_path: Optional[str] = None,
+    data, cfg: TrainConfig, log_path: Optional[str] = None,
     state: Optional["BaselineState"] = None,
 ):
     """Sparse coding with identity transform and the second-order-style

@@ -20,7 +20,7 @@ from torusparse import (
     make_synthetic,
 )
 from torusparse.posterior import grid_lattice, natural_params, posterior_grid
-from torusparse.torus import TWO_PI
+from torusparse.torus import TWO_PI, rotate_pairs
 
 DESK_SIDE = 16
 
@@ -64,6 +64,37 @@ def dense_grid_table(freq: FrequencyTable, N: int) -> np.ndarray:
     table[:, 0::2] = np.cos(theta)
     table[:, 1::2] = np.sin(theta)
     return table
+
+
+def oracle_gradients(image, code, model, rbar, mode, weights=None, N=None):
+    """(dictionary, basis) likelihood ascent gradients at one image, built
+    in D-space: the approximate form pushes the expected residual through
+    the expected transform; the exact form takes the second moment of the
+    rotated template by quadrature over the dense grid table under the
+    (N**n,) posterior ``weights`` (basis gradient None without them)."""
+    rc, rs = rbar[0::2], rbar[1::2]
+    template = model.dictionary @ code
+    u = template @ model.basis
+    v = image @ model.basis
+    if mode == "approximate":
+        residual = image - rotate_pairs(rc, rs, u) @ model.basis.T
+        back = rotate_pairs(rc, rs, residual @ model.basis, adjoint=True)
+        grad_d = np.outer(model.basis @ back, code)
+        grad_b = np.outer(residual, rotate_pairs(rc, rs, u)) + np.outer(template, back)
+        return grad_d / model.noise_var, grad_b / model.noise_var
+    grad_d = np.outer(model.basis @ (rotate_pairs(rc, rs, v, adjoint=True) - u), code)
+    if weights is None:
+        return grad_d / model.noise_var, None
+    table = dense_grid_table(model.freq, N)
+    rotated = rotate_pairs(table[:, 0::2], table[:, 1::2], np.broadcast_to(u, table.shape))
+    second_moment = (rotated * weights[:, None]).T @ rotated
+    grad_b = (
+        np.outer(template, rotate_pairs(rc, rs, v, adjoint=True))
+        + np.outer(image, rotate_pairs(rc, rs, u))
+        - np.outer(template, u)
+        - model.basis @ second_moment
+    )
+    return grad_d / model.noise_var, grad_b / model.noise_var
 
 
 def brute_posterior_weights(image, code, model, N) -> np.ndarray:
@@ -129,6 +160,14 @@ def brute_log_marginal(image, code, model, N) -> float:
         - 0.5 * d * math.log(TWO_PI * model.noise_var)
         - log_z_prior
     )
+
+
+def scalar_offsets(model):
+    """Byte offsets of kappa, mu, noise_var and sparsity in a checkpoint."""
+    d, L, k = model.dim, model.freq.L, model.n_atoms
+    kappa = 32 + 4 * L * model.freq.n + 8 * d * (2 * L + k)
+    return {"kappa": kappa, "mu": kappa + 8 * L, "noise_var": kappa + 16 * L,
+            "sparsity": kappa + 16 * L + 8}
 
 
 def point_mass_grid(model, N, flat_index):

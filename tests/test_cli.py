@@ -7,7 +7,7 @@ import torusparse as tp
 from torusparse.cli import main
 from torusparse.io import load_checkpoint_full, save_checkpoint
 
-from conftest import desk_templates
+from conftest import desk_templates, scalar_offsets
 
 
 def write_idx_images(path, images):
@@ -94,6 +94,24 @@ class TestGenData:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_bound_in_exponent_form_is_a_value(self, tmp_path, templates_idx):
+        out = tmp_path / "out.ds"
+        rc = main(["gen-data", "--kind", "translate2d", "--templates", str(templates_idx),
+                   "--count-per-template", "3", "--seed", "0", "--out", str(out),
+                   "--cyclic", "--dx", "-1e3", "1e3", "--dy", "-2.5E0", "-1e-1"])
+        assert rc == 0
+        assert load_checkpoint_full(out).dataset.images.shape == (9, 64)
+
+    def test_negative_infinite_bound_names_the_range_rule(self, tmp_path, templates_idx,
+                                                          capsys):
+        out = tmp_path / "out.ds"
+        rc = main(["gen-data", "--kind", "translate2d", "--templates", str(templates_idx),
+                   "--count-per-template", "2", "--seed", "0", "--out", str(out),
+                   "--dx", "-inf", "inf"])
+        assert rc == 2
+        assert "dx low bound -inf is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_scale_that_warps_to_non_finite_pixels_names_the_sample(
             self, tmp_path, templates_idx, capsys):
         out = tmp_path / "out.ds"
@@ -148,6 +166,55 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "image 3" in err and "non-finite" in err
+
+
+def corrupt_checkpoint(path, model, name, value):
+    """Overwrite one stored scalar (or the flags) of a saved checkpoint."""
+    blob = bytearray(path.read_bytes())
+    if name == "flags":
+        blob[6:8] = struct.pack("<H", value)
+    else:
+        at = scalar_offsets(model)[name]
+        blob[at : at + 8] = struct.pack("<d", value)
+    path.write_bytes(bytes(blob))
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("name, value, message", [
+        ("sparsity", float("nan"), "sparsity must be finite, got nan"),
+        ("mu", float("nan"), "prior mu[0] is not finite"),
+        ("kappa", float("nan"), "prior kappa[0] is not finite"),
+        ("kappa", float("inf"), "prior kappa[0] is not finite"),
+        ("noise_var", float("inf"), "noise_var must be finite, got inf"),
+        ("flags", 2, "unknown flag bits 0x0002"),
+    ])
+    def test_corrupted_checkpoint_is_exit_2_by_name(self, tmp_path, capsys, name, value,
+                                                     message):
+        from conftest import small_model
+
+        model = small_model(0, d=16, L=3, k=2, n=1)
+        ckpt, data = tmp_path / "m.ckpt", tmp_path / "d.ds"
+        save_checkpoint(model, ckpt)
+        save_checkpoint(model, data, dataset=tp.Dataset(
+            images=np.random.default_rng(0).uniform(0.1, 1.0, (4, 16)), side=4))
+        corrupt_checkpoint(ckpt, model, name, value)
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, message", [
+        ("lambda = nan", "sparsity must be finite, got nan"),
+        ("lambda = inf", "sparsity must be finite, got inf"),
+        ("sigma2 = inf", "noise_var must be finite, got inf"),
+    ])
+    def test_non_finite_config_is_exit_2_by_name(self, tmp_path, deskaux, capsys, line,
+                                                 message):
+        _, data = deskaux
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("D = 64\nK = 3\nL = 4\nn = 1\n" + line + "\n")
+        rc = main(["train", "--config", str(cfg), "--data", str(data),
+                   "--out", str(tmp_path / "o.ckpt")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
 
 
 class TestPipeline:

@@ -19,7 +19,7 @@ from torusparse.io import (
     save_checkpoint,
 )
 
-from conftest import small_model
+from conftest import scalar_offsets, small_model
 
 
 @pytest.fixture
@@ -187,6 +187,87 @@ class TestCheckpointErrors:
         assert not (tmp_path / "new.ckpt").exists()
 
 
+class TestCheckpointScalars:
+    @pytest.mark.parametrize("name, index, value, message", [
+        ("kappa", 0, np.nan, r"prior kappa\[0\] is not finite"),
+        ("kappa", 2, np.inf, r"prior kappa\[2\] is not finite"),
+        ("mu", 1, np.nan, r"prior mu\[1\] is not finite"),
+        ("noise_var", 0, np.inf, "noise_var must be finite, got inf"),
+        ("sparsity", 0, np.nan, "sparsity must be finite, got nan"),
+    ])
+    def test_non_finite_scalar_rejected_by_name(self, model, tmp_path, name, index,
+                                                value, message):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        at = scalar_offsets(model)[name] + 8 * index
+        blob[at : at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(InvariantError, match=message):
+            load_checkpoint_full(path)
+
+    @pytest.mark.parametrize("flags, bits", [(2, "0x0002"), (0x8001, "0x8000")])
+    def test_unknown_flag_bits_named(self, model, tmp_path, flags, bits):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        blob[6:8] = struct.pack("<H", flags)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"unknown flag bits {bits}"):
+            load_checkpoint_full(path)
+
+
+def test_torus_dimension_zero_rejected(tmp_path):
+    model = small_model(0, d=16, L=3, k=2, n=1)
+    model.freq = tp.FrequencyTable(n=0, entries=np.zeros((3, 0), dtype=np.int64),
+                                   multiplicity=3)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    with pytest.raises(InvariantError, match="torus dimension n is 0"):
+        load_checkpoint_full(path)
+
+
+@st.composite
+def corruptions(draw, blob, tail):
+    """A corrupted copy of checkpoint bytes: bit flips (biased to the header
+    and to the prior/scalar bytes from offset ``tail`` on), a truncation, or
+    appended bytes."""
+    bad = bytearray(blob)
+    kind = draw(st.sampled_from(["flip", "truncate", "append"]))
+    if kind == "flip":
+        regions = [(0, 32), (tail, min(len(blob), tail + 64)), (0, len(blob))]
+        for _ in range(draw(st.integers(1, 8))):
+            lo, hi = draw(st.sampled_from(regions))
+            bad[draw(st.integers(lo, hi - 1))] ^= 1 << draw(st.integers(0, 7))
+    elif kind == "truncate":
+        del bad[draw(st.integers(0, len(blob) - 1)):]
+    else:
+        bad += draw(st.binary(min_size=1, max_size=16))
+    return bytes(bad)
+
+
+class TestCheckpointFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(case=checkpoint_cases(), data=st.data())
+    def test_corrupted_bytes_raise_checkpoint_error_or_load_a_valid_model(
+            self, case, data, tmp_path_factory):
+        model, n_grid, dataset = case
+        path = tmp_path_factory.mktemp("fuzz") / "m.ckpt"
+        save_checkpoint(model, path, n_grid=n_grid, dataset=dataset)
+        path.write_bytes(data.draw(corruptions(path.read_bytes(),
+                                               scalar_offsets(model)["kappa"])))
+        try:
+            loaded = load_checkpoint_full(path)
+        except CheckpointError:
+            return
+        model = loaded.model
+        model.validate()
+        for array in (model.basis, model.dictionary, model.prior.kappa, model.prior.mu,
+                      [model.noise_var, model.sparsity]):
+            assert np.isfinite(array).all()
+        assert loaded.n_grid >= 2
+
+
 class TestParseConfig:
     def test_empty_file_gives_reference_defaults(self, tmp_path):
         path = tmp_path / "empty.cfg"
@@ -239,6 +320,18 @@ class TestParseConfig:
         path = tmp_path / "e.cfg"
         path.write_text("just words\n")
         with pytest.raises(ConfigError, match="line 1"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("line, message", [
+        ("lambda = nan", "sparsity must be finite, got nan"),
+        ("lambda = inf", "sparsity must be finite, got inf"),
+        ("sigma2 = inf", "noise_var must be finite, got inf"),
+        ("lr_w = inf", "lr_basis must be finite, got inf"),
+    ])
+    def test_non_finite_value_rejected_by_name(self, tmp_path, line, message):
+        path = tmp_path / "f.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(ConfigError, match=message):
             parse_config(path)
 
     def test_grad_mode_and_flags(self, tmp_path):

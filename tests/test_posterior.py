@@ -62,6 +62,15 @@ class TestNaturalParams:
         with pytest.raises(ValueError):
             tp.TorusPrior(kappa=[-1.0], mu=[0.0])
 
+    @pytest.mark.parametrize("kappa, mu, message", [
+        ([1.0, np.nan], [0.0, 0.0], r"prior kappa\[1\] is not finite"),
+        ([np.inf, 1.0], [0.0, 0.0], r"prior kappa\[0\] is not finite"),
+        ([1.0, 1.0], [0.0, np.nan], r"prior mu\[1\] is not finite"),
+    ])
+    def test_non_finite_prior_rejected_by_name(self, kappa, mu, message):
+        with pytest.raises(ValueError, match=message):
+            tp.TorusPrior(kappa=kappa, mu=mu)
+
 
 class TestPosteriorNaturalParams:
     def test_zero_code_returns_prior(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torusparse import (
     FrequencyTable,
@@ -162,6 +163,29 @@ class TestApplyTransform:
         op = TorusOperator(basis=np.eye(4), freq=ft)
         with pytest.raises(ValueError):
             apply_transform(op, [0.0], np.zeros(5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 3), L=st.integers(1, 6), extra=st.integers(0, 3),
+       seed=st.integers(0, 2**16))
+def test_random_frequency_tables_keep_group_law_and_isometry(n, L, extra, seed):
+    rng = np.random.default_rng(seed)
+    freq = FrequencyTable(n=n, entries=rng.integers(-6, 7, (L, n)), multiplicity=L)
+    d = 2 * L + 2 * extra
+    basis = np.linalg.qr(rng.standard_normal((d, 2 * L)))[0]
+    op = TorusOperator(basis=basis, freq=freq)
+    s, t = rng.uniform(0, TWO_PI, (2, n))
+    y = rng.standard_normal(2 * L)
+    np.testing.assert_allclose(rotate_coeffs(freq, s, rotate_coeffs(freq, t, y)),
+                               rotate_coeffs(freq, s + t, y), rtol=0, atol=1e-10)
+    x = rng.standard_normal(d)
+    np.testing.assert_allclose(apply_transform(op, s, apply_transform(op, t, x)),
+                               apply_transform(op, s + t, x), rtol=0, atol=1e-10)
+    # on the span of the basis the transform keeps every inner product
+    a, b = basis @ y, basis @ rng.standard_normal(2 * L)
+    moved_a, moved_b = apply_transform(op, s, a), apply_transform(op, s, b)
+    assert abs(moved_a @ moved_b - a @ b) < 1e-10 * (1 + np.linalg.norm(a) * np.linalg.norm(b))
+    assert abs(np.linalg.norm(moved_a) - np.linalg.norm(a)) < 1e-10 * (1 + np.linalg.norm(a))
 
 
 class TestOperatorValidation:

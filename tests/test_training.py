@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import torusparse as tp
 from torusparse.posterior import (
+    MOMENT_ROWS,
+    batch_posterior,
     expected_rotation,
+    natural_params,
     posterior_grid,
     posterior_natural_params,
 )
@@ -13,6 +16,7 @@ from torusparse.training import (
     CHUNK_WEIGHTS,
     BaselineState,
     _batch_gradients_approx,
+    _batch_gradients_exact,
     _chunk_slices,
     basis_gradient,
     dictionary_gradient,
@@ -25,6 +29,7 @@ from conftest import (
     brute_log_marginal,
     desk_config,
     desk_dataset,
+    oracle_gradients,
     point_mass_grid,
     small_model,
 )
@@ -71,6 +76,15 @@ class TestInitModel:
             init_model(tiny_config(image_dim=15), 0)
         with pytest.raises(ValueError):
             init_model(tiny_config(image_dim=4, n_freq=3), 0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("noise_var", np.inf), ("noise_var", np.nan),
+        ("sparsity", np.nan), ("sparsity", np.inf),
+    ])
+    def test_non_finite_scalars_rejected_by_name(self, name, value):
+        model = replace(init_model(tiny_config(), 0), **{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            model.validate()
 
 
 class TestDictionaryGradient:
@@ -177,6 +191,73 @@ class TestBasisGradient:
                 ) / (2 * h)
         assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-4
 
+
+@st.composite
+def gradient_cases(draw):
+    """A random small model with broad posteriors over a random batch:
+    n in {1, 2, 3}, m in {1, 2}, the zero rate on or off."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    L = draw(st.integers(m + 1, 6))  # at least one nonzero rate
+    cfg = tp.TrainConfig(
+        torus_dim=n, n_freq=L, multiplicity=m,
+        include_zero_freq=draw(st.booleans()), n_atoms=draw(st.integers(1, 3)),
+        image_dim=2 * L + 2 * draw(st.integers(0, 3)),
+        noise_var=draw(st.floats(1.0, 4.0)),
+    )
+    model = init_model(cfg, draw(st.integers(0, 2**16)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    batch = draw(st.integers(1, 5))
+    images = rng.standard_normal((batch, cfg.image_dim))
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    codes = rng.uniform(0, 0.5, (batch, cfg.n_atoms))
+    n_grid = draw(st.integers(4, {1: 24, 2: 10, 3: 6}[n]))
+    return model, images, codes, n_grid
+
+
+class TestBatchGradientOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(case=gradient_cases())
+    def test_batch_gradients_match_dense_per_image_oracle(self, case):
+        model, images, codes, n_grid = case
+        post, weights = batch_posterior(
+            images @ model.basis, codes, model.basis.T @ model.dictionary,
+            natural_params(model.prior), model.noise_var, model.freq, n_grid)
+        rbar = post.rbar
+        rho = rbar[:, 0::2] ** 2 + rbar[:, 1::2] ** 2
+        assert rho.min() < 0.5  # broad posteriors: the covariance term is live
+        for mode, batched in (
+            ("exact", _batch_gradients_exact(images, codes, model, rbar, weights, n_grid)),
+            ("approximate", _batch_gradients_approx(images, codes, model, rbar)),
+        ):
+            refs = [oracle_gradients(images[i], codes[i], model, rbar[i], mode,
+                                     weights[i], n_grid) for i in range(len(images))]
+            for got, ref in zip(batched[:2], zip(*refs)):
+                np.testing.assert_allclose(got, np.mean(ref, axis=0), rtol=0, atol=1e-12)
+        grad_d, grad_b, _ = _batch_gradients_exact(images, codes, model, rbar)
+        assert grad_b is None
+        np.testing.assert_allclose(
+            grad_d, np.mean([oracle_gradients(images[i], codes[i], model, rbar[i], "exact")[0]
+                             for i in range(len(images))], axis=0), rtol=0, atol=1e-12)
+
+
+    def test_exact_batch_spanning_several_moment_passes(self):
+        model = small_model(16, d=14, L=5, k=3, n=2, noise_var=0.3)
+        rng = np.random.default_rng(17)
+        batch = 2 * MOMENT_ROWS + 3
+        images = rng.standard_normal((batch, 14))
+        images /= np.linalg.norm(images, axis=1, keepdims=True)
+        codes = rng.uniform(0, 1, (batch, 3))
+        post, weights = batch_posterior(
+            images @ model.basis, codes, model.basis.T @ model.dictionary,
+            natural_params(model.prior), model.noise_var, model.freq, 9)
+        grads = _batch_gradients_exact(images, codes, model, post.rbar, weights, 9)
+        refs = [oracle_gradients(images[i], codes[i], model, post.rbar[i], "exact",
+                                 weights[i], 9) for i in range(batch)]
+        for got, ref in zip(grads[:2], zip(*refs)):
+            np.testing.assert_allclose(got, np.mean(ref, axis=0), rtol=0, atol=1e-12)
+        again = _batch_gradients_exact(images, codes, model, post.rbar, weights, 9)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads[:2], again[:2]))
 
 class TestTrain:
     def test_bitwise_deterministic(self):
