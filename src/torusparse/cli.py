@@ -74,9 +74,21 @@ def _placeholder_model(d: int) -> ModelParams:
     )
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _default_threads() -> int:
+    """One chunk thread per core when BLAS is pinned to one thread, else one:
+    each chunk calls BLAS, and a multithreaded BLAS in every chunk thread
+    would run more threads than cores."""
+    if any(os.environ.get(name) == "1" for name in BLAS_THREAD_VARIABLES):
+        return os.cpu_count() or 1
+    return 1
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="torusparse")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--threads", type=int, default=_default_threads())
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-data", help="generate a warped-template dataset")

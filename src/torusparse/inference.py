@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .posterior import batch_posterior, natural_params, posterior_grid
+from .posterior import batch_posterior, natural_params, posterior_grid, posterior_pass
 from .torus import rotate_pairs
 
 POWER_ITERATIONS = 300
@@ -123,8 +123,10 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None):
     squared length of its block l (R^T R is rho_l times the identity on
     each block). The exact residual is R^T v - u, i.e. rho = 1.
 
-    Returns (codes, BatchPosterior) where the posterior summaries are
-    recomputed at the final codes. Vectorizing over the batch is the
+    The FISTA iterations take only r-bar from ``posterior_pass``; the
+    normalised weights and their peaks are formed once, by a
+    ``batch_posterior`` pass at the final codes. Returns (codes,
+    BatchPosterior at the codes). Vectorizing over the batch is the
     deterministic realization of per-image parallelism: every reduction
     happens in a fixed order.
     """
@@ -136,15 +138,10 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None):
     coupling = model.basis.T @ model.dictionary
     eta_prior = natural_params(model.prior)
     images_coeff = images @ model.basis
-
-    def posterior(codes):
-        return batch_posterior(
-            images_coeff, codes, coupling, eta_prior, model.noise_var,
-            model.freq, n_grid,
-        )[0]
+    problem = (coupling, eta_prior, model.noise_var, model.freq, n_grid)
 
     def ascent(codes):
-        rbar = posterior(codes).rbar
+        rbar = posterior_pass(images_coeff, codes, *problem)[-1]
         rc, rs = rbar[:, 0::2], rbar[:, 1::2]
         rho = 1.0 if exact else np.repeat(rc * rc + rs * rs, 2, axis=1)
         u = codes @ coupling.T
@@ -154,7 +151,7 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None):
     step = fista_step_size(model)
     init = np.full((images.shape[0], model.dictionary.shape[1]), cfg.code_init)
     codes = fista(ascent, init, step, step * model.sparsity, cfg.fista_steps)
-    return codes, posterior(codes)
+    return codes, batch_posterior(images_coeff, codes, *problem)[0]
 
 
 def infer_code(image: np.ndarray, model, cfg, n_grid: int | None = None):

@@ -11,7 +11,9 @@ for these integrands).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+
 import numpy as np
 
 from .torus import TWO_PI, FrequencyTable
@@ -21,7 +23,12 @@ GRID_POINT_LIMIT = 10_000_000
 # (rows, 2L^2) complex values, 8.4 MB at L = 128.
 MOMENT_ROWS = 16
 
+# Grid tables kept at once, oldest insert evicted first: at least the
+# inference table and the exact-mode pair table of a few models or grids.
+TABLE_CACHE_ENTRIES = 8
+
 _TABLE_CACHE: dict = {}
+_TABLE_LOCK = threading.Lock()
 
 
 @dataclass(eq=False)
@@ -63,18 +70,30 @@ def grid_lattice(n: int, N: int) -> np.ndarray:
 
 
 def grid_tables(freq: FrequencyTable, N: int) -> tuple:
-    """Separable factors of the grid phases e^{i omega_l . s}, s = 2 pi j / N.
+    """Separable factors of the grid phases e^{i omega_l . s}, s = 2 pi j / N,
+    folded onto the half spectrum.
+
+    The energy is real, so a block whose rate has a negative last component
+    is read at -omega_l instead, with its eta pair conjugated
+    (``grid_energy``) and its sin moment negated (``grid_expectation``).
+    After this fold the last axis holds only rates >= 0 (9 values instead
+    of 17 at the paper shape), which halves the width of the two last-axis
+    GEMMs.
 
     Returns a tuple of arrays: for each torus axis k, the (N, A_k) complex
-    table e^{2 pi i a j / N} over the A_k distinct values a of component k
-    (ascending), then the (L,) index of each block's cell in the C-ordered
-    A_1 x ... x A_n box. On a torus e^{i omega . s} = prod_k e^{i omega_k s_k},
+    table e^{2 pi i a j / N} over the A_k distinct values a of folded
+    component k (ascending); the (L,) index of each block's cell in the
+    C-ordered A_1 x ... x A_n box; the (L,) fold sign of each block (+1.0 or
+    -1.0); then the scatter plan of the blocks into the box: their stable
+    order by cell, the start of each run of equal cells in that order, and
+    the distinct cells. On a torus e^{i omega . s} = prod_k e^{i omega_k s_k},
     so the posterior energy and the expected rotation are pruned DFTs over
-    this box, evaluated one axis at a time (``grid_energy``,
-    ``grid_expectation``). Angles are reduced modulo N in integers first.
+    this box, evaluated one axis at a time. Angles are reduced modulo N in
+    integers first.
 
-    Cached per (table, N): the same factors are reused across every
-    inference call during training.
+    Cached per (table, N), oldest entry evicted first beyond
+    TABLE_CACHE_ENTRIES: the same factors are reused across every inference
+    call during training.
     """
     if N < 2:
         raise ValueError("grid size N must be >= 2")
@@ -87,32 +106,46 @@ def grid_tables(freq: FrequencyTable, N: int) -> tuple:
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
+    folded = freq.entries[:, -1] < 0
     steps = grid_lattice(1, N)
     phases, coords = [], []
-    for component in freq.entries.T:
+    for component in np.where(folded[:, None], -freq.entries, freq.entries).T:
         values, position = np.unique(component, return_inverse=True)
         phases.append(np.exp((1j * TWO_PI / N) * ((steps * values) % N)))
         coords.append(position.reshape(-1))
     cells = np.ravel_multi_index(coords, [p.shape[1] for p in phases])
-    tables = (*phases, cells)
-    _TABLE_CACHE[key] = tables
-    return tables
+    order = np.argsort(cells, kind="stable")
+    starts = np.flatnonzero(np.diff(cells[order], prepend=-1))
+    sign = np.where(folded, -1.0, 1.0)
+    tables = (*phases, cells, sign, order, starts, cells[order[starts]])
+    # Hits stay lock-free and never move their entry (no pop and reinsert),
+    # so a chunk thread cannot miss a key another thread is touching; the
+    # lock keeps two builders from evicting the same oldest entry.
+    with _TABLE_LOCK:
+        if key not in _TABLE_CACHE:
+            while len(_TABLE_CACHE) >= TABLE_CACHE_ENTRIES:
+                del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
+            _TABLE_CACHE[key] = tables
+        return _TABLE_CACHE[key]
 
 
 def grid_energy(eta_hat: np.ndarray, tables: tuple) -> np.ndarray:
     """Energies eta_c . cos(omega_l . s) + eta_s . sin(omega_l . s) of a
     (B, 2L) batch of natural parameters over the grid, shape (B, N**n).
 
-    Reads eta_hat as complex z = eta_c + i eta_s, sums it into the
-    frequency box and takes Re sum z e^{-i omega . s}: axes 1..n-1 by
-    batched matmuls with the conjugate phases, the last axis as one real
-    GEMM of the (re, im) float view against the (cos, sin) table.
+    Reads eta_hat as complex z = eta_c + i eta_s (conjugated for folded
+    blocks), sums it into the frequency box along the scatter plan and
+    takes Re sum z e^{-i omega . s}: axes 1..n-1 by batched matmuls with the
+    conjugate phases, the last axis as one real GEMM of the (re, im) float
+    view against the (cos, sin) table.
     """
-    *phases, cells = tables
+    *phases, _, sign, order, starts, distinct = tables
     b = eta_hat.shape[0]
     rest = math.prod(p.shape[1] for p in phases)
+    blocks = eta_hat.view(complex)[:, order]
+    blocks.imag *= sign[order]
     partial = np.zeros((b, rest), dtype=complex)
-    np.add.at(partial, (slice(None), cells), eta_hat.view(complex))
+    partial[:, distinct] = np.add.reduceat(blocks, starts, axis=1)
     for phase in phases[:-1]:
         rest //= phase.shape[1]
         partial = np.matmul(phase.conj(), partial.reshape(b, -1, phase.shape[1], rest))
@@ -127,9 +160,10 @@ def grid_expectation(weights: np.ndarray, tables: tuple) -> np.ndarray:
 
     The last axis is one real GEMM against the (cos, sin) table, read back
     as complex; the other axes are contracted by batched matmuls, then
-    each block reads its cell, whose (re, im) view is the (cos, sin) pair.
+    each block reads its cell, whose (re, im) view is the (cos, sin) pair,
+    and folded blocks negate their sin.
     """
-    *phases, cells = tables
+    *phases, cells, sign, _, _, _ = tables
     b = weights.shape[0]
     last = phases[-1]
     n_grid, rest = last.shape
@@ -137,7 +171,9 @@ def grid_expectation(weights: np.ndarray, tables: tuple) -> np.ndarray:
     for phase in phases[-2::-1]:
         partial = np.matmul(phase.T, partial.reshape(b, -1, n_grid, rest))
         rest *= phase.shape[1]
-    return np.take(partial.reshape(b, -1), cells, axis=1).view(float)
+    moments = np.take(partial.reshape(b, -1), cells, axis=1)
+    moments.imag *= sign
+    return moments.view(float)
 
 
 def rotation_second_moment(u: np.ndarray, weights: np.ndarray,
@@ -200,12 +236,12 @@ def posterior_natural_params(
 
 
 def _eta_from_coefficients(u, v, eta_prior, noise_var):
-    uc, us = u[..., 0::2], u[..., 1::2]
-    vc, vs = v[..., 0::2], v[..., 1::2]
-    eta_hat = np.empty(np.broadcast_shapes(u.shape, v.shape))
-    eta_hat[..., 0::2] = eta_prior[0::2] + (uc * vc + us * vs) / noise_var
-    eta_hat[..., 1::2] = eta_prior[1::2] + (uc * vs - us * vc) / noise_var
-    return eta_hat
+    """eta_prior + conj(u) v / noise_var, with each interleaved (cos, sin)
+    pair of u, v and eta_prior read as one complex number."""
+    def pairs(x):
+        return np.ascontiguousarray(x).view(complex)
+
+    return (pairs(eta_prior) + pairs(u).conj() * pairs(v) / noise_var).view(float)
 
 
 def posterior_grid(eta_hat: np.ndarray, freq: FrequencyTable, N: int) -> PosteriorGrid:
@@ -279,6 +315,35 @@ def map_estimate_batch(post: BatchPosterior) -> np.ndarray:
     return coords.astype(float) * (TWO_PI / post.N)
 
 
+def posterior_pass(
+    images_coeff: np.ndarray,
+    codes: np.ndarray,
+    coupling: np.ndarray,
+    eta_prior: np.ndarray,
+    noise_var: float,
+    freq: FrequencyTable,
+    N: int,
+):
+    """One grid pass for a batch: the only posterior kernel.
+
+    ``images_coeff`` is (B, 2L) of basis coefficients of the images and
+    ``coupling`` the (2L, K) matrix of basis coefficients of the
+    dictionary, so u = codes @ coupling.T. Returns (eta_hat, weights, sums,
+    rbar): the (B, 2L) natural parameters, the (B, N**n) row-max-shifted
+    unnormalised weights, their (B, 1) row sums, and the expected rotation
+    pairs rbar = expectation(weights) / sums. Summation orders are fixed, so
+    results are reproducible bit for bit.
+    """
+    tables = grid_tables(freq, N)
+    eta_hat = _eta_from_coefficients(codes @ coupling.T, images_coeff, eta_prior,
+                                     noise_var)
+    weights = grid_energy(eta_hat, tables)
+    weights -= weights.max(axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    sums = weights.sum(axis=1, keepdims=True)
+    return eta_hat, weights, sums, grid_expectation(weights, tables) / sums
+
+
 def batch_posterior(
     images_coeff: np.ndarray,
     codes: np.ndarray,
@@ -288,28 +353,19 @@ def batch_posterior(
     freq: FrequencyTable,
     N: int,
 ):
-    """Vectorized posterior pass for a batch.
+    """``posterior_pass`` with its weights normalised and each image's peak.
 
-    ``images_coeff`` is (B, 2L) of basis coefficients of the images and
-    ``coupling`` the (2L, K) matrix of basis coefficients of the
-    dictionary, so u = codes @ coupling.T. Returns (BatchPosterior,
-    weights) with weights (B, N**n); summation orders are fixed, so
-    results are reproducible bit for bit.
+    Returns (BatchPosterior, weights) with weights (B, N**n) summing to one
+    per image.
     """
-    tables = grid_tables(freq, N)
-    u = codes @ coupling.T
-    eta_hat = _eta_from_coefficients(u, images_coeff, eta_prior, noise_var)
-    energy = grid_energy(eta_hat, tables)
-    energy -= energy.max(axis=1, keepdims=True)
-    np.exp(energy, out=energy)
-    energy /= energy.sum(axis=1, keepdims=True)
-    weights = energy
+    eta_hat, weights, sums, rbar = posterior_pass(
+        images_coeff, codes, coupling, eta_prior, noise_var, freq, N)
+    weights /= sums
     post = BatchPosterior(
         eta_hat=eta_hat,
-        rbar=grid_expectation(weights, tables),
+        rbar=rbar,
         peak_index=np.argmax(weights, axis=1),
         n=freq.n,
         N=N,
     )
     return post, weights
-

@@ -187,8 +187,11 @@ class TorusOperator:
             raise ValueError("ambient dimension D must be even")
         if width > d:
             raise ValueError("2L must not exceed D")
-        gram = self.basis.T @ self.basis
-        err = np.abs(gram - np.eye(width)).max()
+        # A huge finite basis overflows the Gram matrix to inf or NaN; the
+        # check below rejects both by name, so numpy need not warn first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = self.basis.T @ self.basis
+            err = np.abs(gram - np.eye(width)).max()
         if not err <= ORTHONORMALITY_TOL:  # NaN entries fail too
             raise ValueError(f"basis columns not orthonormal (max error {err:.3e})")
 

@@ -69,7 +69,8 @@ class ModelParams:
         if self.freq.L < 1 or self.dictionary.shape[1] < 1:
             raise ValueError("need at least one rotation block and one atom")
         self.operator()  # basis width, even D, 2L <= D, orthonormal columns
-        col_err = np.abs(np.linalg.norm(self.dictionary, axis=0) - 1.0).max()
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail below
+            col_err = np.abs(np.linalg.norm(self.dictionary, axis=0) - 1.0).max()
         if not col_err <= COLUMN_NORM_TOL:
             raise ValueError(f"dictionary columns not unit norm (error {col_err:.3e})")
         if self.dictionary.shape[0] != self.dim:

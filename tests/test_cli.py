@@ -1,10 +1,14 @@
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import torusparse as tp
-from torusparse.cli import main
+from torusparse.cli import BLAS_THREAD_VARIABLES, _build_parser, main
 from torusparse.io import load_checkpoint_full, save_checkpoint
 
 from conftest import desk_templates, scalar_offsets
@@ -215,6 +219,58 @@ class TestNonFiniteInputs:
                    "--out", str(tmp_path / "o.ckpt")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part, message", [
+    ("basis", "basis columns not orthonormal (max error inf)"),
+    ("dictionary", "dictionary columns not unit norm (error inf)"),
+])
+def test_huge_finite_entry_is_exit_2_with_only_the_named_message(tmp_path, part,
+                                                                 message):
+    # a flipped high exponent bit makes the first entry huge: the norms of
+    # the orthonormality or unit-norm check overflow to inf, which the check
+    # names, and numpy must not warn about it first
+    from conftest import small_model
+
+    model = small_model(0, d=16, L=3, k=2, n=1)
+    ckpt, data = tmp_path / "m.ckpt", tmp_path / "d.ds"
+    save_checkpoint(model, ckpt)
+    save_checkpoint(model, data, dataset=tp.Dataset(
+        images=np.random.default_rng(0).uniform(0.1, 1.0, (4, 16)), side=4))
+    at = 32 + 4 * model.freq.L * model.freq.n
+    if part == "dictionary":
+        at += 8 * model.basis.size
+    blob = bytearray(ckpt.read_bytes())
+    blob[at : at + 8] = struct.pack("<d", 1e300)
+    ckpt.write_bytes(bytes(blob))
+    src = str(Path(tp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run(
+        [sys.executable, "-c", "from torusparse.cli import entry; entry()",
+         "eval", "--ckpt", str(ckpt), "--data", str(data)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert run.stderr == f"error: {message}\n"
+
+
+class TestDefaultThreads:
+    ARGS = ["eval", "--ckpt", "m", "--data", "d"]
+
+    def test_one_thread_unless_blas_is_pinned(self, monkeypatch):
+        for name in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert _build_parser().parse_args(self.ARGS).threads == 1
+        assert _build_parser().parse_args(["--threads", "3"] + self.ARGS).threads == 3
+
+    @pytest.mark.parametrize("name", BLAS_THREAD_VARIABLES)
+    def test_one_per_core_when_blas_is_pinned_to_one(self, monkeypatch, name):
+        for other in BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(other, raising=False)
+        monkeypatch.setenv(name, "1")
+        assert _build_parser().parse_args(self.ARGS).threads == (os.cpu_count() or 1)
+        assert _build_parser().parse_args(["--threads", "3"] + self.ARGS).threads == 3
 
 
 class TestPipeline:

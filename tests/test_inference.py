@@ -12,7 +12,9 @@ from torusparse.inference import (
     infer_code_batch,
     prox_exponential,
 )
+from torusparse import inference
 from torusparse.posterior import (
+    batch_posterior,
     expected_rotation,
     log_likelihood,
     posterior_grid,
@@ -325,3 +327,27 @@ def test_coefficient_space_step_matches_d_space_oracle(mode):
         expected = prox_exponential(init + step * grad, step * model.sparsity)
         assert np.count_nonzero(expected) > 0
         np.testing.assert_allclose(codes[i], expected, rtol=0, atol=1e-12)
+
+
+def test_ascent_rbar_is_batch_posterior_rbar_bit_for_bit(monkeypatch):
+    # the FISTA iterations take r-bar from the unnormalised pass; on the
+    # same inputs it must equal the r-bar of the full batch_posterior pass
+    model = small_model(50, d=12, L=3, k=3, n=2, noise_var=0.1, kappa_scale=1.0)
+    cfg = tp.TrainConfig(image_dim=12, n_freq=3, n_atoms=3, torus_dim=2,
+                         fista_steps=4, grid_size=9, noise_var=0.1)
+    rng = np.random.default_rng(51)
+    images = rng.uniform(0.05, 1, (5, 12))
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    seen = []
+    kernel = inference.posterior_pass
+
+    def spy(*args):
+        result = kernel(*args)
+        seen.append((args, result[-1]))
+        return result
+
+    monkeypatch.setattr(inference, "posterior_pass", spy)
+    infer_code_batch(images, model, cfg)
+    assert len(seen) == cfg.fista_steps
+    for args, rbar in seen:
+        assert np.array_equal(batch_posterior(*args)[0].rbar, rbar)

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torusparse as tp
+from torusparse import posterior
 from torusparse.posterior import (
+    TABLE_CACHE_ENTRIES,
     batch_posterior,
     expected_rotation,
     grid_tables,
@@ -345,3 +347,94 @@ def test_grid_tables_hold_under_one_megabyte_at_paper_shape():
     # the separable factors replace a dense (N**n, 2L) table of 20.5 MB
     tables = grid_tables(frequency_table_auto(2, 128, 1), 100)
     assert sum(t.nbytes for t in tables) < 1e6
+
+
+def test_half_spectrum_boxes_at_paper_shape():
+    # folding each rate with a negative last component onto its negation
+    # leaves the last axis the 9 rates 0..8, and the exact-mode pair box
+    # 33 x 17 in place of 25 x 33
+    freq = frequency_table_auto(2, 128, 1)
+    N = 50
+    tables = grid_tables(freq, N)
+    folded = np.where(freq.entries[:, -1:] < 0, -freq.entries, freq.entries)
+    assert (folded[:, -1] >= 0).all()
+    last = np.unique(folded[:, -1])
+    assert last.tolist() == list(range(9))
+    assert tables[0].shape == (N, 17) and tables[1].shape == (N, 9)
+    np.testing.assert_allclose(
+        tables[1], np.exp(2j * np.pi * np.outer(np.arange(N), last) / N), atol=1e-13)
+    e = freq.entries
+    pairs = np.concatenate([e[:, None] - e[None], e[:, None] + e[None]])
+    pair_tables = grid_tables(FrequencyTable(2, pairs.reshape(-1, 2), 1), N)
+    assert pair_tables[0].shape == (N, 33) and pair_tables[1].shape == (N, 17)
+
+
+@st.composite
+def folded_tables(draw):
+    """Rate vectors of any sign, so the fold meets mixed, all-negative or
+    all-zero last components, optionally with the zero rate, each repeated
+    m times (duplicate cells)."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    last = draw(st.sampled_from(["mixed", "negative", "zero"]))
+    rows = draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                         min_size=1, max_size=8))
+    if last == "negative":
+        rows = [row[:-1] + [-1 - abs(row[-1])] for row in rows]
+    elif last == "zero":
+        rows = [row[:-1] + [0] for row in rows]
+    if draw(st.booleans()):
+        rows.insert(0, [0] * n)
+    entries = np.array([row for row in rows for _ in range(m)], dtype=np.int64)
+    return FrequencyTable(n=n, entries=entries, multiplicity=m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(freq=folded_tables(), N=st.integers(2, 9),
+       scale=st.floats(0.0, 1e3), seed=st.integers(0, 2**32 - 1))
+def test_half_spectrum_pass_matches_direct_evaluation(freq, N, scale, seed):
+    check_batch_posterior_against_direct(freq, N, scale, seed)
+
+
+def test_table_cache_keeps_the_newest_entries(monkeypatch):
+    monkeypatch.setattr(posterior, "_TABLE_CACHE", {})
+    freq = build_frequency_table(n=2, L=4, m=1, max_norm=1)
+    built = [grid_tables(freq, N) for N in range(2, 22)]
+    assert len(posterior._TABLE_CACHE) <= TABLE_CACHE_ENTRIES
+    assert grid_tables(freq, 21) is built[-1]
+    assert grid_tables(freq, 2) is not built[0]  # the oldest was evicted
+
+
+def test_table_cache_stays_bounded_under_concurrent_builds(monkeypatch):
+    # more threads than cores, switching often, each cycling through more
+    # keys than the cache holds: evictions race with inserts and hits
+    import sys
+    import threading
+
+    monkeypatch.setattr(posterior, "_TABLE_CACHE", {})
+    freq = build_frequency_table(n=2, L=4, m=1, max_norm=1)
+    sizes = list(range(2, 2 + TABLE_CACHE_ENTRIES + 4))
+    errors = []
+
+    def work(shift):
+        try:
+            for step in range(150):
+                N = sizes[(shift + step) % len(sizes)]
+                assert grid_tables(freq, N)[0].shape[0] == N
+                assert len(posterior._TABLE_CACHE) <= TABLE_CACHE_ENTRIES
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(posterior._TABLE_CACHE) <= TABLE_CACHE_ENTRIES
