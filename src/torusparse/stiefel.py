@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 QR_ORTHONORMALITY_TOL = 1e-12
+# Largest triangle _invert_lower hands to np.linalg.inv whole.
+TRI_INV_LEAF = 32
 
 
 def tangent_project(point: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -22,7 +24,29 @@ def tangent_project(point: np.ndarray, grad: np.ndarray) -> np.ndarray:
     if grad.shape != point.shape:
         raise ValueError(f"gradient shape {grad.shape} != point shape {point.shape}")
     inner = point.T @ grad
-    return grad - point @ ((inner + inner.T) * 0.5)
+    inner += inner.T
+    inner *= 0.5
+    normal = point @ inner
+    return np.subtract(grad, normal, out=normal)
+
+
+def _invert_lower(low: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix.
+
+    Blocked recursion: [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1,
+    D^-1]], halving down to leaves of TRI_INV_LEAF rows or fewer, which
+    np.linalg.inv inverts. Every product is then a GEMM, where LAPACK's
+    general inverse spends its time in a pivoted LU.
+    """
+    n = low.shape[0]
+    if n <= TRI_INV_LEAF:
+        return np.tril(np.linalg.inv(low))
+    h = n // 2
+    out = np.zeros_like(low)
+    out[:h, :h] = _invert_lower(low[:h, :h])
+    out[h:, h:] = _invert_lower(low[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ (low[h:, :h] @ out[:h, :h]))
+    return out
 
 
 def positive_qr(y: np.ndarray):
@@ -30,15 +54,18 @@ def positive_qr(y: np.ndarray):
     diagonal is positive.
 
     That factorization is unique, so CholeskyQR, Q = Y chol(Y^T Y)^-T,
-    gives the same Q as Householder QR at a fraction of the cost. When the
-    Cholesky factorization fails or Q misses orthonormality by more than
+    gives the same Q as Householder QR at a fraction of the cost; the
+    Cholesky factor is inverted by ``_invert_lower``. When the Cholesky
+    factorization fails or Q misses orthonormality by more than
     QR_ORTHONORMALITY_TOL (Y too ill-conditioned), Householder QR with the
     diagonal signs fixed is used instead (Fukaya et al. 2014, CholeskyQR2).
     """
     try:
         chol = np.linalg.cholesky(y.T @ y)
-        q = y @ np.linalg.inv(chol).T
-        if np.abs(q.T @ q - np.eye(y.shape[1])).max() <= QR_ORTHONORMALITY_TOL:
+        q = y @ _invert_lower(chol).T
+        gram = q.T @ q
+        gram.flat[:: gram.shape[0] + 1] -= 1.0
+        if np.abs(gram, out=gram).max() <= QR_ORTHONORMALITY_TOL:
             return q, np.diag(chol)
     except np.linalg.LinAlgError:
         pass
@@ -52,7 +79,7 @@ def retract(point: np.ndarray, step: np.ndarray) -> np.ndarray:
     if step.shape != point.shape:
         raise ValueError(f"step shape {step.shape} != point shape {point.shape}")
     q, diag = positive_qr(point + step)
-    scale = np.abs(point).max() + np.abs(step).max()
+    scale = max(point.max(), -point.min()) + max(step.max(), -step.min())
     if np.any(diag < 1e-12 * max(scale, 1.0)):
         raise np.linalg.LinAlgError("rank-deficient retraction input")
     return q
@@ -80,19 +107,32 @@ def riemannian_adam_step(
 ):
     """One ascent step on the manifold; returns (new state, new point).
 
-    The raw gradient is projected, bias-corrected Adam moments produce the
-    step, the step is retracted, and the first moment is re-projected at
-    the new point so stale normal components never accumulate.
+    Only the tangent part of ``grad`` is used, so ``grad`` may be any
+    gradient with the right tangent part: adding B S for a symmetric S
+    changes nothing. The gradient is projected, bias-corrected Adam
+    moments produce the step, the step is retracted, and the first moment
+    is re-projected at the new point so stale normal components never
+    accumulate. The moment arithmetic runs in the order of the textbook
+    formulas, through reused buffers; the input state is not modified.
     """
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite basis gradient")
     tangent = tangent_project(point, grad)
     count = state.step_count + 1
-    m1 = state.beta1 * state.m1 + (1.0 - state.beta1) * tangent
-    m2 = state.beta2 * state.m2 + (1.0 - state.beta2) * tangent * tangent
-    m1_hat = m1 / (1.0 - state.beta1**count)
-    m2_hat = m2 / (1.0 - state.beta2**count)
-    step = state.lr * m1_hat / (np.sqrt(m2_hat) + state.eps)
+    scratch = np.multiply(tangent, 1.0 - state.beta1)
+    m1 = np.multiply(state.m1, state.beta1)
+    m1 += scratch
+    np.multiply(tangent, 1.0 - state.beta2, out=scratch)
+    scratch *= tangent
+    m2 = np.multiply(state.m2, state.beta2)
+    m2 += scratch
+    # step = lr * m1_hat / (sqrt(m2_hat) + eps), the hats bias-corrected
+    step = np.divide(m1, 1.0 - state.beta1**count, out=scratch)
+    step *= state.lr
+    denom = np.divide(m2, 1.0 - state.beta2**count, out=tangent)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
     new_point = retract(point, step) if np.any(step) else point
     new_state = StiefelAdamState(
         m1=tangent_project(new_point, m1),

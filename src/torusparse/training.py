@@ -20,10 +20,7 @@ import numpy as np
 
 from .datasets import normalize_batch
 from .inference import fista, infer_code_batch, spectral_norm
-from .posterior import (
-    BatchPosterior, TorusPrior, batch_posterior, grid_tables, natural_params,
-    rotation_second_moment,
-)
+from .posterior import BatchPosterior, TorusPrior, grid_tables, rotation_second_moment
 from .stiefel import StiefelAdamState, phi_update, positive_qr, riemannian_adam_step
 from .torus import (
     FrequencyTable,
@@ -185,41 +182,58 @@ def basis_gradient(image, code, model, rbar, mode="approximate", grid=None):
     return _gradients_at(image, code, model, rbar, mode, grid)[1]
 
 
-def _batch_gradients_approx(images, codes, model, rbar):
-    """Batch-mean approximate gradients; single fixed-order reductions."""
+def _batch_gradients(images, codes, model, rbar, exact):
+    """Batch-mean training gradients, built in the 2L coefficient space:
+    (dictionary gradient, basis term H, mean squared residual).
+
+    With v = X B, u = codes C^T (C = B^T Phi) and the FISTA ascent's back =
+    R^T v - rho u (rho = |r_l|^2 per block; 1 in ``exact`` mode, where
+    E[R^T R] = I), the dictionary gradient is B (codes^T back)^T and H =
+    X^T (R u) + Phi (codes^T back), both over b sigma^2. H is the ambient
+    basis gradient without its -B S term, S symmetric ((R u)^T (R u), or
+    the second moment of R u in exact mode); B S is normal to the manifold,
+    so H has the ambient gradient's tangent part. As B^T B = I, the squared
+    residual |x - B R u|^2 is |x|^2 - 2 v . R u + |R u|^2.
+    """
     rc, rs = rbar[:, 0::2], rbar[:, 1::2]
     coupling = model.basis.T @ model.dictionary
     u = codes @ coupling.T
+    v = images @ model.basis
     ru = rotate_pairs(rc, rs, u)
-    rec = ru @ model.basis.T
-    residual = images - rec
-    back = rotate_pairs(rc, rs, residual @ model.basis, adjoint=True)
-    templates = codes @ model.dictionary.T
+    rho = 1.0 if exact else np.repeat(rc * rc + rs * rs, 2, axis=1)
+    back = rotate_pairs(rc, rs, v, adjoint=True) - rho * u
+    coef = codes.T @ back
     b = images.shape[0]
-    grad_dict = (back @ model.basis.T).T @ codes / (b * model.noise_var)
-    grad_basis = (residual.T @ ru + templates.T @ back) / (b * model.noise_var)
-    mean_sq_residual = float(np.mean(np.sum(residual * residual, axis=1)))
-    return grad_dict, grad_basis, mean_sq_residual
+    scale = b * model.noise_var
+    grad_dict = model.basis @ coef.T / scale
+    grad_basis = (images.T @ ru + model.dictionary @ coef) / scale
+    sq_residual = np.vdot(images, images) - 2.0 * np.vdot(v, ru) + np.vdot(ru, ru)
+    return grad_dict, grad_basis, float(sq_residual / b)
+
+
+def _batch_gradients_approx(images, codes, model, rbar):
+    """Batch-mean ambient approximate gradients: ``_batch_gradients`` with
+    the normal term -B (R u)^T (R u) / (b sigma^2) added back to H."""
+    grad_dict, grad_basis, residual = _batch_gradients(images, codes, model, rbar, False)
+    u = codes @ (model.basis.T @ model.dictionary).T
+    ru = rotate_pairs(rbar[:, 0::2], rbar[:, 1::2], u)
+    scale = images.shape[0] * model.noise_var
+    return grad_dict, grad_basis - model.basis @ (ru.T @ ru) / scale, residual
 
 
 def _batch_gradients_exact(images, codes, model, rbar, weights=None, n_grid=None):
-    """Batch-mean exact gradients: the approximate ones with E[R^T R] = I in
-    place of rho in the back term, and the second moment of R u under the
-    (B, N**n) grid ``weights`` in place of (R u)(R u)^T in the basis term.
-    Without weights the basis gradient is None."""
-    grad_dict, grad_basis, residual = _batch_gradients_approx(images, codes, model, rbar)
-    rc, rs = rbar[:, 0::2], rbar[:, 1::2]
-    u = codes @ (model.basis.T @ model.dictionary).T
-    shrink = (1.0 - np.repeat(rc * rc + rs * rs, 2, axis=1)) * u
-    scale = images.shape[0] * model.noise_var
-    grad_dict = grad_dict - model.basis @ (shrink.T @ codes) / scale
+    """Batch-mean ambient exact gradients: ``_batch_gradients`` in exact
+    mode, with the normal term -B M / (b sigma^2) added back to H, M the
+    second moment of R u under the (B, N**n) grid ``weights``. Training
+    uses only H, so M serves only the ambient ``basis_gradient``. Without
+    weights the basis gradient is None."""
+    grad_dict, grad_basis, residual = _batch_gradients(images, codes, model, rbar, True)
     if weights is None:
         return grad_dict, None, residual
-    ru = rotate_pairs(rc, rs, u)
-    spread = rotation_second_moment(u, weights, model.freq, n_grid) - ru.T @ ru
-    templates = codes @ model.dictionary.T
-    grad_basis = grad_basis - (templates.T @ shrink + model.basis @ spread) / scale
-    return grad_dict, grad_basis, residual
+    u = codes @ (model.basis.T @ model.dictionary).T
+    moment = rotation_second_moment(u, weights, model.freq, n_grid)
+    scale = images.shape[0] * model.noise_var
+    return grad_dict, grad_basis - model.basis @ moment / scale, residual
 
 
 def _chunk_slices(total: int, workers: int, grid_points: int):
@@ -319,6 +333,11 @@ def train(
 ):
     """Run the full training loop; returns (trained model, per-batch log).
 
+    Each batch's gradients come from ``_batch_gradients``. The basis moves
+    along its term H, which has the ambient gradient's tangent part, the
+    only part Riemannian Adam uses; so exact mode needs no second
+    posterior pass and no rotation second moment.
+
     Log records are (epoch, batch, mean squared residual, mean code L1,
     seconds); with ``log_path`` they are also appended to disk as
     tab-separated lines.
@@ -329,16 +348,8 @@ def train(
     def batch_step(batch):
         nonlocal model, adam
         codes, post = _infer_batch_threaded(batch, model, cfg, threads)
-        if cfg.grad_mode == "exact":
-            post, weights = batch_posterior(
-                batch @ model.basis, codes, model.basis.T @ model.dictionary,
-                natural_params(model.prior), model.noise_var, model.freq, post.N)
-            grad_d, grad_b, residual = _batch_gradients_exact(
-                batch, codes, model, post.rbar, weights, post.N)
-        else:
-            grad_d, grad_b, residual = _batch_gradients_approx(
-                batch, codes, model, post.rbar
-            )
+        grad_d, grad_b, residual = _batch_gradients(
+            batch, codes, model, post.rbar, cfg.grad_mode == "exact")
         new_dict = phi_update(model.dictionary, grad_d, cfg.lr_dict)
         adam, new_basis = riemannian_adam_step(adam, model.basis, grad_b)
         model = replace(model, dictionary=new_dict, basis=new_basis)

@@ -218,3 +218,39 @@ def test_ill_conditioned_input_falls_back_to_householder_qr(monkeypatch):
     assert np.abs(q.T @ q - np.eye(8)).max() < QR_ORTHONORMALITY_TOL
     assert (diag > 0).all()
     np.testing.assert_array_equal(q, householder_positive_q(y))
+
+
+@pytest.mark.parametrize("width", [256, 250, 130, 70])
+def test_cholesky_qr_at_the_paper_width_matches_householder_qr(width, monkeypatch):
+    # widths above the leaf size run the blocked triangular inverse; 250,
+    # 130 and 70 split into halves of unequal size along the way
+    rng = np.random.default_rng(width)
+    y = rng.standard_normal((784, width))
+    calls = spy_on_householder_qr(monkeypatch)
+    q, diag = positive_qr(y)
+    assert calls == []
+    np.testing.assert_allclose(q, householder_positive_q(y), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(diag, np.abs(np.diag(np.linalg.qr(y)[1])), rtol=1e-12)
+    assert np.abs(q.T @ q - np.eye(width)).max() <= 1e-12
+
+
+def test_adam_steps_at_the_paper_shape_stay_orthonormal():
+    rng = np.random.default_rng(20)
+    w = random_stiefel(rng, 784, 256)
+    state = StiefelAdamState.init(w.shape, lr=0.3)
+    for _ in range(20):
+        state, w = riemannian_adam_step(state, w, rng.standard_normal(w.shape))
+        assert np.abs(w.T @ w - np.eye(256)).max() <= 1e-12
+
+
+def test_adam_step_leaves_the_input_state_unchanged():
+    rng = np.random.default_rng(21)
+    w = random_stiefel(rng, 12, 4)
+    state, w = riemannian_adam_step(StiefelAdamState.init(w.shape, lr=0.05), w,
+                                    rng.standard_normal(w.shape))
+    m1, m2 = state.m1.copy(), state.m2.copy()
+    new_state, _ = riemannian_adam_step(state, w, rng.standard_normal(w.shape))
+    assert state.step_count == 1
+    np.testing.assert_array_equal(state.m1, m1)
+    np.testing.assert_array_equal(state.m2, m2)
+    assert new_state.m1 is not state.m1 and new_state.m2 is not state.m2

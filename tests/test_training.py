@@ -12,9 +12,17 @@ from torusparse.posterior import (
     posterior_grid,
     posterior_natural_params,
 )
+from torusparse.datasets import normalize_batch
+from torusparse.stiefel import (
+    StiefelAdamState,
+    phi_update,
+    riemannian_adam_step,
+    tangent_project,
+)
 from torusparse.training import (
     CHUNK_WEIGHTS,
     BaselineState,
+    _batch_gradients,
     _batch_gradients_approx,
     _batch_gradients_exact,
     _chunk_slices,
@@ -539,3 +547,77 @@ def test_chunk_count_at_the_paper_shapes():
     assert len(eval_chunks) == 8
     for threads in range(2, 9):
         assert _chunk_slices(100, threads, 100**2) == eval_chunks
+
+
+def one_batch_config(mode):
+    return tiny_config(grad_mode=mode, epochs=1, batch_size=12, torus_dim=2, n_freq=4,
+                       grid_size=8)
+
+
+def test_exact_training_batch_runs_one_posterior_pass_per_chunk(monkeypatch):
+    from torusparse import inference, posterior, training
+
+    calls = []  # list.append is atomic across the chunk threads
+    for module in (posterior, inference, training):
+        for name in ("batch_posterior", "rotation_second_moment"):
+            if hasattr(module, name):
+                def spy(*args, _inner=getattr(module, name), _name=name):
+                    calls.append(_name)
+                    return _inner(*args)
+                monkeypatch.setattr(module, name, spy)
+    cfg = one_batch_config("exact")
+    data = tiny_dataset(count=cfg.batch_size)
+    chunks = _chunk_slices(cfg.batch_size, 2, cfg.grid_size**cfg.torus_dim)
+    assert len(chunks) == 2
+    _, log = train(init_model(cfg, 0), data, cfg, threads=2)
+    assert len(log) == 1
+    assert calls == ["batch_posterior"] * len(chunks)
+
+
+@pytest.mark.parametrize("mode", ["approximate", "exact"])
+def test_training_batch_matches_the_ambient_gradient_step(mode):
+    cfg = one_batch_config(mode)
+    data = tiny_dataset(seed=5, count=cfg.batch_size)
+    model = init_model(cfg, 4)
+    trained, _ = train(model, data, cfg)
+
+    order = np.random.default_rng([cfg.seed, 1]).permutation(cfg.batch_size)
+    batch = normalize_batch(data.images)[order]
+    codes, post = tp.infer_code_batch(batch, model, cfg)
+    if mode == "exact":
+        post, weights = batch_posterior(
+            batch @ model.basis, codes, model.basis.T @ model.dictionary,
+            natural_params(model.prior), model.noise_var, model.freq, cfg.grid_size)
+        grad_d, grad_b, _ = _batch_gradients_exact(
+            batch, codes, model, post.rbar, weights, cfg.grid_size)
+    else:
+        grad_d, grad_b, _ = _batch_gradients_approx(batch, codes, model, post.rbar)
+    _, basis = riemannian_adam_step(
+        StiefelAdamState.init(model.basis.shape, cfg.lr_basis), model.basis, grad_b)
+    dictionary = phi_update(model.dictionary, grad_d, cfg.lr_dict)
+    np.testing.assert_allclose(trained.basis, basis, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(trained.dictionary, dictionary, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=gradient_cases(), exact=st.booleans(), seed=st.integers(0, 2**16))
+def test_basis_term_has_the_ambient_gradient_tangent_part(case, exact, seed):
+    model, images, codes, n_grid = case
+    rng = np.random.default_rng(seed)
+    rbar = rng.uniform(-1, 1, (images.shape[0], 2 * model.n_freq))
+    grad_d, h, residual = _batch_gradients(images, codes, model, rbar, exact)
+    if exact:
+        weights = rng.uniform(0, 1, (images.shape[0], n_grid**model.freq.n))
+        weights /= weights.sum(axis=1, keepdims=True)
+        ambient = _batch_gradients_exact(images, codes, model, rbar, weights, n_grid)
+    else:
+        ambient = _batch_gradients_approx(images, codes, model, rbar)
+    assert grad_d.tobytes() == ambient[0].tobytes()
+    assert residual == ambient[2]
+    tangent = tangent_project(model.basis, ambient[1])
+    scale = max(np.linalg.norm(tangent), np.finfo(float).tiny)
+    assert np.linalg.norm(tangent_project(model.basis, h) - tangent) <= 1e-12 * scale
+    sym = rng.standard_normal((2 * model.n_freq,) * 2)
+    sym += sym.T
+    normal = tangent_project(model.basis, model.basis @ sym)
+    assert np.abs(normal).max() <= 1e-12 * np.abs(sym).max()
