@@ -108,7 +108,8 @@ def load_idx_images(path) -> Dataset:
         raise IdxFormatError(f"trailing bytes after offset {expected}")
     if rows != cols:
         raise IdxFormatError(f"images must be square, got {rows}x{cols}")
-    pixels = np.frombuffer(blob, dtype=np.uint8, offset=16).astype(float) / 255.0
+    pixels = np.frombuffer(blob, dtype=np.uint8, offset=16).astype(float)
+    pixels /= 255.0  # in place: one float array, not two
     return Dataset(images=pixels.reshape(count, rows * cols), side=rows)
 
 

@@ -113,7 +113,8 @@ def fista(gradient, init: np.ndarray, step: float, threshold: float, steps: int)
     return code
 
 
-def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None):
+def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
+                     step: float | None = None):
     """Run the full inference loop for a batch of images at once.
 
     Works only on the 2L basis coefficients v = B^T x of the images and
@@ -128,7 +129,9 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None):
     ``batch_posterior`` pass at the final codes. Returns (codes,
     BatchPosterior at the codes). Vectorizing over the batch is the
     deterministic realization of per-image parallelism: every reduction
-    happens in a fixed order.
+    happens in a fixed order. ``step`` is the FISTA step size, a function
+    of the model alone (``fista_step_size``); callers that split one batch
+    into chunks compute it once and pass it to each.
     """
     images = np.atleast_2d(np.asarray(images, dtype=float))
     if images.shape[1] != model.basis.shape[0]:
@@ -148,7 +151,7 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None):
         back = rotate_pairs(rc, rs, images_coeff, adjoint=True) - rho * u
         return (back @ coupling) / model.noise_var
 
-    step = fista_step_size(model)
+    step = fista_step_size(model) if step is None else step
     init = np.full((images.shape[0], model.dictionary.shape[1]), cfg.code_init)
     codes = fista(ascent, init, step, step * model.sparsity, cfg.fista_steps)
     return codes, batch_posterior(images_coeff, codes, *problem)[0]

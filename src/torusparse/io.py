@@ -11,12 +11,15 @@ Checkpoint layout (all little-endian):
     noise_var, sparsity    float64
     [flags bit 0] dataset: count u32, then count*D float64, image-major
 
-The payload length is fully determined by the header; loading verifies
+The payload length is fully determined by the header (and the dataset
+count): loading checks it against the file's size before it allocates
+any array, reads each section straight into its own array, and verifies
 the magic, the version, and every model invariant before returning.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -31,6 +34,7 @@ from .training import ModelParams, TrainConfig
 MAGIC = b"LSC1"
 VERSION = 1
 FLAG_DATASET = 0x0001
+HEADER_BYTES = 32
 
 
 class CheckpointError(ValueError):
@@ -93,58 +97,77 @@ class CheckpointContents:
     dataset: Optional[Dataset]
 
 
-def _read_exact(blob: memoryview, offset: int, size: int,
-                what: str) -> tuple[memoryview, int]:
-    if offset + size > len(blob):
+def _require(available: int, offset: int, size: int, what: str) -> None:
+    if offset + size > available:
         raise CheckpointError(
             f"payload truncated reading {what} at byte {offset} (need {size} bytes)"
         )
-    return blob[offset : offset + size], offset + size
 
 
 def load_checkpoint_full(path) -> CheckpointContents:
-    """Load and validate the container, returning model, grid size, dataset."""
+    """Load and validate the container, returning model, grid size, dataset.
+
+    Every section's size follows from the header (and the dataset count),
+    so the whole layout is checked against the file's size before any
+    array is allocated; each section is then read into its own array.
+    """
     with open(path, "rb") as handle:
-        blob = memoryview(handle.read())
-    raw, offset = _read_exact(blob, 0, 4, "magic")
-    if raw != MAGIC:
-        raise BadMagicError(f"bad magic {bytes(raw)!r}")
-    raw, offset = _read_exact(blob, offset, 4, "version/flags")
-    version, flags = struct.unpack("<HH", raw)
-    if version != VERSION:
-        raise VersionError(f"unsupported version {version} (expected {VERSION})")
-    if flags & ~FLAG_DATASET:
-        raise CheckpointError(f"unknown flag bits {flags & ~FLAG_DATASET:#06x}")
-    raw, offset = _read_exact(blob, offset, 24, "dimensions")
-    d, k, L, n, m, n_grid = struct.unpack("<6I", raw)
-    if n_grid < 2:
-        raise CheckpointError(f"header field N (grid size) is {n_grid}; must be >= 2")
+        size = os.fstat(handle.fileno()).st_size
+        head = handle.read(HEADER_BYTES)
+        _require(len(head), 0, 4, "magic")
+        if head[:4] != MAGIC:
+            raise BadMagicError(f"bad magic {head[:4]!r}")
+        _require(len(head), 4, 4, "version/flags")
+        version, flags = struct.unpack_from("<HH", head, 4)
+        if version != VERSION:
+            raise VersionError(f"unsupported version {version} (expected {VERSION})")
+        if flags & ~FLAG_DATASET:
+            raise CheckpointError(f"unknown flag bits {flags & ~FLAG_DATASET:#06x}")
+        _require(len(head), 8, 24, "dimensions")
+        d, k, L, n, m, n_grid = struct.unpack_from("<6I", head, 8)
+        if n_grid < 2:
+            raise CheckpointError(f"header field N (grid size) is {n_grid}; must be >= 2")
 
-    raw, offset = _read_exact(blob, offset, 4 * L * n, "frequency table")
-    entries = np.frombuffer(raw, dtype="<i4").reshape(L, n).astype(np.int64)
-    raw, offset = _read_exact(blob, offset, 8 * d * 2 * L, "basis")
-    basis = np.frombuffer(raw, dtype="<f8").reshape((d, 2 * L), order="F").copy()
-    raw, offset = _read_exact(blob, offset, 8 * d * k, "dictionary")
-    dictionary = np.frombuffer(raw, dtype="<f8").reshape((d, k), order="F").copy()
-    raw, offset = _read_exact(blob, offset, 8 * L, "kappa")
-    kappa = np.frombuffer(raw, dtype="<f8").copy()
-    raw, offset = _read_exact(blob, offset, 8 * L, "mu")
-    mu = np.frombuffer(raw, dtype="<f8").copy()
-    raw, offset = _read_exact(blob, offset, 16, "scalars")
-    noise_var, sparsity = struct.unpack("<dd", raw)
+        sections = [("frequency table", 4 * L * n), ("basis", 8 * d * 2 * L),
+                    ("dictionary", 8 * d * k), ("kappa", 8 * L), ("mu", 8 * L),
+                    ("scalars", 16)]
+        if flags & FLAG_DATASET:
+            sections.append(("dataset count", 4))
+        at, end = {}, HEADER_BYTES
+        for what, need in sections:
+            _require(size, end, need, what)
+            at[what], end = end, end + need
 
-    dataset = None
-    if flags & FLAG_DATASET:
-        raw, offset = _read_exact(blob, offset, 4, "dataset count")
-        (count,) = struct.unpack("<I", raw)
-        raw, offset = _read_exact(blob, offset, 8 * count * d, "dataset images")
-        images = np.frombuffer(raw, dtype="<f8").reshape(count, d).copy()
-        side = int(round(d**0.5))
-        if side * side != d:
-            raise CheckpointError(f"dataset dimension {d} is not a square")
-        dataset = Dataset(images=images, side=side)
-    if offset != len(blob):
-        raise CheckpointError(f"trailing bytes after offset {offset}")
+        def read(what, shape, dtype="<f8"):
+            """The next section, read straight into a new array."""
+            array = np.empty(shape, dtype=dtype)
+            got = handle.readinto(array)
+            _require(at[what] + got, at[what], array.nbytes, what)  # file shrank
+            return array
+
+        if flags & FLAG_DATASET:
+            handle.seek(at["dataset count"])
+            (count,) = read("dataset count", 1, "<u4").tolist()
+            handle.seek(HEADER_BYTES)
+            _require(size, end, 8 * count * d, "dataset images")
+            at["dataset images"], end = end, end + 8 * count * d
+            side = int(round(d**0.5))
+            if side * side != d:
+                raise CheckpointError(f"dataset dimension {d} is not a square")
+        if end != size:
+            raise CheckpointError(f"trailing bytes after offset {end}")
+
+        entries = read("frequency table", (L, n), "<i4")
+        # The basis and dictionary are stored column-major: each is read as
+        # its transpose and copied once into C order.
+        basis = read("basis", (2 * L, d)).T.copy()
+        dictionary = read("dictionary", (k, d)).T.copy()
+        kappa, mu = read("kappa", L), read("mu", L)
+        noise_var, sparsity = read("scalars", 2).tolist()
+        dataset = None
+        if flags & FLAG_DATASET:
+            handle.seek(4, os.SEEK_CUR)  # the count, read above
+            dataset = Dataset(images=read("dataset images", (count, d)), side=side)
 
     try:
         model = ModelParams(

@@ -30,6 +30,15 @@ def tangent_project(point: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return np.subtract(grad, normal, out=normal)
 
 
+def orthonormality_error(q: np.ndarray) -> float:
+    """max |Q^T Q - I|, formed in place in the Gram matrix. NaN when Q
+    holds NaN; a huge finite Q overflows to inf or NaN without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = q.T @ q
+        gram.flat[:: gram.shape[0] + 1] -= 1.0
+        return float(np.abs(gram, out=gram).max())
+
+
 def _invert_lower(low: np.ndarray) -> np.ndarray:
     """Inverse of a nonsingular lower-triangular matrix.
 
@@ -63,9 +72,7 @@ def positive_qr(y: np.ndarray):
     try:
         chol = np.linalg.cholesky(y.T @ y)
         q = y @ _invert_lower(chol).T
-        gram = q.T @ q
-        gram.flat[:: gram.shape[0] + 1] -= 1.0
-        if np.abs(gram, out=gram).max() <= QR_ORTHONORMALITY_TOL:
+        if orthonormality_error(q) <= QR_ORTHONORMALITY_TOL:
             return q, np.diag(chol)
     except np.linalg.LinAlgError:
         pass

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stiefel import orthonormality_error
+
 TWO_PI = 2.0 * math.pi
 
 ORTHONORMALITY_TOL = 1e-8
@@ -77,17 +79,26 @@ def validate_frequency_table(freq: FrequencyTable) -> None:
         raise ValueError("frequency table shape mismatch")
     if freq.multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
-    for row in ent:
-        if not _is_canonical(row):
-            raise ValueError(f"entry {row.tolist()} violates canonical sign")
-    keys = [(int(row @ row), tuple(row.tolist())) for row in ent]
-    if keys != sorted(keys):
+    rows = np.arange(freq.L)
+    nonzero = ent != 0
+    leading = ent[rows, nonzero.argmax(axis=1)]  # 0 for a zero vector
+    if (leading < 0).any():
+        bad = ent[(leading < 0).argmax()]
+        raise ValueError(f"entry {bad.tolist()} violates canonical sign")
+    # Adjacent rows must rise in (squared norm, lexicographic order); the
+    # squared norms wrap in int64 exactly as a per-row dot product would.
+    norms = np.einsum("ij,ij->i", ent, ent)
+    first_diff = (ent[1:] != ent[:-1]).argmax(axis=1)
+    lex_up = ent[rows[1:], first_diff] >= ent[rows[:-1], first_diff]
+    if not ((norms[:-1] < norms[1:]) | ((norms[:-1] == norms[1:]) & lex_up)).all():
         raise ValueError("entries not sorted by (norm, lexicographic)")
-    counts: dict = {}
-    for _, tup in keys:
-        counts[tup] = counts.get(tup, 0) + 1
-        if counts[tup] > freq.multiplicity:
-            raise ValueError(f"entry {tup} repeated more than m={freq.multiplicity}")
+    # Sorted, so m + 1 copies of a vector sit in a run: row i repeats one
+    # too many when it equals row i - m.
+    m = freq.multiplicity
+    over = (ent[m:] == ent[: max(freq.L - m, 0)]).all(axis=1)
+    if over.any():
+        tup = tuple(ent[m + over.argmax()].tolist())
+        raise ValueError(f"entry {tup} repeated more than m={m}")
 
 
 def build_frequency_table(
@@ -171,6 +182,24 @@ def rotate_coeffs(freq: FrequencyTable, s, y: np.ndarray) -> np.ndarray:
     return rotate_pairs(np.cos(theta), np.sin(theta), y)
 
 
+def check_basis_shape(basis: np.ndarray, L: int) -> None:
+    """Raise ValueError unless ``basis`` is (D, 2L) with D even and 2L <= D."""
+    d, width = basis.shape
+    if width != 2 * L:
+        raise ValueError(f"basis width {width} != 2L = {2 * L}")
+    if d % 2 != 0:
+        raise ValueError("ambient dimension D must be even")
+    if width > d:
+        raise ValueError("2L must not exceed D")
+
+
+def check_orthonormal(basis: np.ndarray) -> None:
+    """Raise ValueError unless max |B^T B - I| <= ORTHONORMALITY_TOL."""
+    err = orthonormality_error(basis)
+    if not err <= ORTHONORMALITY_TOL:  # NaN entries fail too
+        raise ValueError(f"basis columns not orthonormal (max error {err:.3e})")
+
+
 @dataclass(eq=False)
 class TorusOperator:
     """A learned group action: orthonormal basis plus frequency table."""
@@ -180,20 +209,8 @@ class TorusOperator:
 
     def __post_init__(self):
         self.basis = np.asarray(self.basis, dtype=float)
-        d, width = self.basis.shape
-        if width != 2 * self.freq.L:
-            raise ValueError(f"basis width {width} != 2L = {2 * self.freq.L}")
-        if d % 2 != 0:
-            raise ValueError("ambient dimension D must be even")
-        if width > d:
-            raise ValueError("2L must not exceed D")
-        # A huge finite basis overflows the Gram matrix to inf or NaN; the
-        # check below rejects both by name, so numpy need not warn first.
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram = self.basis.T @ self.basis
-            err = np.abs(gram - np.eye(width)).max()
-        if not err <= ORTHONORMALITY_TOL:  # NaN entries fail too
-            raise ValueError(f"basis columns not orthonormal (max error {err:.3e})")
+        check_basis_shape(self.basis, self.freq.L)
+        check_orthonormal(self.basis)
 
     @property
     def dim(self) -> int:

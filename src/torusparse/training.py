@@ -19,12 +19,14 @@ from typing import Optional
 import numpy as np
 
 from .datasets import normalize_batch
-from .inference import fista, infer_code_batch, spectral_norm
+from .inference import fista, fista_step_size, infer_code_batch, spectral_norm
 from .posterior import BatchPosterior, TorusPrior, grid_tables, rotation_second_moment
 from .stiefel import StiefelAdamState, phi_update, positive_qr, riemannian_adam_step
 from .torus import (
     FrequencyTable,
     TorusOperator,
+    check_basis_shape,
+    check_orthonormal,
     frequency_table_auto,
     rotate_pairs,
     validate_frequency_table,
@@ -63,9 +65,15 @@ class ModelParams:
         return TorusOperator(basis=self.basis, freq=self.freq)
 
     def validate(self) -> None:
+        """Raise ValueError unless every invariant holds. The Gram-matrix
+        orthonormality check, the only costly one, comes last."""
+        self._validate_all_but_orthonormality()
+        check_orthonormal(self.basis)
+
+    def _validate_all_but_orthonormality(self) -> None:
         if self.freq.L < 1 or self.dictionary.shape[1] < 1:
             raise ValueError("need at least one rotation block and one atom")
-        self.operator()  # basis width, even D, 2L <= D, orthonormal columns
+        check_basis_shape(self.basis, self.freq.L)
         with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN fail below
             col_err = np.abs(np.linalg.norm(self.dictionary, axis=0) - 1.0).max()
         if not col_err <= COLUMN_NORM_TOL:
@@ -149,7 +157,9 @@ def init_model(cfg: TrainConfig, rng_seed: int) -> ModelParams:
         sparsity=cfg.sparsity,
         prior=TorusPrior.uniform(cfg.n_freq),
     )
-    model.validate()
+    # positive_qr's Q is orthonormal to 1e-12 already: its CholeskyQR path
+    # checks the Gram matrix, and Householder QR needs no check.
+    model._validate_all_but_orthonormality()
     return model
 
 
@@ -253,14 +263,16 @@ def _infer_batch_threaded(images, model, cfg, threads: int,
     chunking always reproduces the same bits regardless of scheduling."""
     n_grid = cfg.grid_size if n_grid is None else n_grid
     slices = _chunk_slices(images.shape[0], threads, n_grid**model.freq.n)
+    step = fista_step_size(model)  # shared by every chunk
     if len(slices) == 1:
-        return infer_code_batch(images, model, cfg, n_grid=n_grid)
+        return infer_code_batch(images, model, cfg, n_grid=n_grid, step=step)
     from concurrent.futures import ThreadPoolExecutor
 
     grid_tables(model.freq, n_grid)  # build once, before the chunks race
     with ThreadPoolExecutor(max_workers=max(1, min(threads, len(slices)))) as pool:
         parts = list(pool.map(
-            lambda sl: infer_code_batch(images[sl], model, cfg, n_grid=n_grid), slices
+            lambda sl: infer_code_batch(images[sl], model, cfg, n_grid=n_grid, step=step),
+            slices,
         ))
     codes = np.concatenate([p[0] for p in parts], axis=0)
     post = BatchPosterior(

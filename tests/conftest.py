@@ -162,6 +162,30 @@ def brute_log_marginal(image, code, model, N) -> float:
     )
 
 
+def oracle_validate_frequency_table(freq: FrequencyTable) -> None:
+    """Row-by-row form of ``validate_frequency_table``: the same rules in
+    the same order, with the same messages."""
+    ent = freq.entries
+    if freq.n < 1:
+        raise ValueError(f"torus dimension n is {freq.n}; must be >= 1")
+    if ent.shape != (freq.L, freq.n):
+        raise ValueError("frequency table shape mismatch")
+    if freq.multiplicity < 1:
+        raise ValueError("multiplicity must be >= 1")
+    for row in ent:
+        nonzero = [x for x in row if x != 0]
+        if nonzero and nonzero[0] < 0:
+            raise ValueError(f"entry {row.tolist()} violates canonical sign")
+    keys = [(int(row @ row), tuple(row.tolist())) for row in ent]
+    if keys != sorted(keys):
+        raise ValueError("entries not sorted by (norm, lexicographic)")
+    counts: dict = {}
+    for _, tup in keys:
+        counts[tup] = counts.get(tup, 0) + 1
+        if counts[tup] > freq.multiplicity:
+            raise ValueError(f"entry {tup} repeated more than m={freq.multiplicity}")
+
+
 def scalar_offsets(model):
     """Byte offsets of kappa, mu, noise_var and sparsity in a checkpoint."""
     d, L, k = model.dim, model.freq.L, model.n_atoms

@@ -43,6 +43,14 @@ class TestIdx:
             ds.images[0], [0.0, 1.0, 128 / 255, 64 / 255], atol=1e-12
         )
 
+    def test_scaling_in_place_keeps_the_bits(self, tmp_path):
+        path = tmp_path / "all.idx"
+        pixels = np.arange(256 * 4, dtype=np.uint8).reshape(64, 4, 4)
+        write_idx_images(path, pixels)
+        reference = np.frombuffer(path.read_bytes(), dtype=np.uint8,
+                                  offset=16).astype(float) / 255.0
+        assert load_idx_images(path).images.tobytes() == reference.tobytes()
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.idx"
         with open(path, "wb") as fh:

@@ -314,3 +314,30 @@ def test_threaded_eval_builds_grid_table_once(monkeypatch):
     monkeypatch.setattr(posterior, "grid_lattice", slow_lattice)
     reconstruct_batch(images, model, cfg, threads=2)
     assert len(builds) == 1
+
+
+def test_step_size_computed_once_for_eight_chunks(monkeypatch):
+    from torusparse import inference, training
+
+    model, cfg, _ = cap_chunked_case()
+    rng = np.random.default_rng(23)
+    images = rng.uniform(0.05, 1, (100, 16))
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    slices = _chunk_slices(100, 2, EVAL_GRID_SIZE**2)
+    assert len(slices) == 8
+    unshared = np.concatenate([
+        inference.infer_code_batch(images[sl], model, cfg, n_grid=EVAL_GRID_SIZE)[0]
+        for sl in slices])
+
+    calls = []
+    step_size = inference.fista_step_size
+
+    def counted(m):
+        calls.append(m)
+        return step_size(m)
+
+    monkeypatch.setattr(inference, "fista_step_size", counted)
+    monkeypatch.setattr(training, "fista_step_size", counted)
+    batch = reconstruct_batch(images, model, cfg, threads=2)
+    assert calls == [model]
+    np.testing.assert_array_equal(np.stack([r.code for r in batch]), unshared)

@@ -1,6 +1,6 @@
-import struct
-
 import itertools
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +118,27 @@ class TestCheckpointBuffers:
         for a, b in itertools.combinations(arrays, 2):
             assert not np.shares_memory(a, b)
 
+    @pytest.mark.parametrize("L, n", [(3, 1), (3, 2)])
+    def test_sections_at_offsets_4_mod_8_load_aligned(self, tmp_path, L, n):
+        # The int32 frequency table shifts every later section by 4 * L * n
+        # bytes: with L * n odd the basis and the dataset count start at
+        # offsets = 4 (mod 8), with L * n even the dataset images do.
+        sq_model = small_model(5, d=16, L=L, k=2, n=n)
+        ds = tp.Dataset(images=np.random.default_rng(6).uniform(0, 1, (5, 16)), side=4)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(sq_model, path, dataset=ds)
+        count_at = scalar_offsets(sq_model)["sparsity"] + 8
+        residues = ((32 + 4 * L * n) % 8, count_at % 8, (count_at + 4) % 8)
+        assert residues == ((4, 4, 0) if L * n % 2 else (0, 0, 4))
+        loaded = load_checkpoint_full(path)
+        for array in (loaded.model.basis, loaded.model.dictionary,
+                      loaded.model.prior.kappa, loaded.model.prior.mu,
+                      loaded.dataset.images):
+            assert array.flags.aligned and array.flags.c_contiguous
+            assert array.ctypes.data % 8 == 0
+        assert loaded.dataset.images.tobytes() == ds.images.tobytes()
+        assert loaded.model.basis.tobytes() == sq_model.basis.tobytes()
+
     def test_bad_magic_message_shows_the_bytes(self, model, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
@@ -170,6 +191,28 @@ class TestCheckpointErrors:
         path.write_bytes(blob + b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, with_dataset", [
+        ("count", True), ("D", True), ("L", True), ("D", False), ("L", False)])
+    def test_header_claiming_more_than_the_file_is_refused_unallocated(
+            self, tmp_path, field, with_dataset):
+        sq_model = small_model(3, d=16, L=3, k=2, n=2)
+        ds = tp.Dataset(images=np.ones((2, 16)), side=4) if with_dataset else None
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(sq_model, path, dataset=ds)
+        blob = bytearray(path.read_bytes())
+        # claims 2 GB (frequency table) to 34 GB (images) past the header
+        at = {"count": scalar_offsets(sq_model)["sparsity"] + 8, "D": 8, "L": 16}[field]
+        blob[at : at + 4] = struct.pack("<I", 2**28)
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="truncated"):
+                load_checkpoint_full(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(blob) + 64 * 1024
 
     @pytest.mark.parametrize("n_grid", [0, 1])
     def test_grid_size_below_two_rejected(self, model, tmp_path, n_grid):

@@ -13,7 +13,7 @@ from torusparse import (
 )
 from torusparse.torus import TWO_PI, validate_frequency_table
 
-from conftest import bandlimit, dft_shift_operator
+from conftest import bandlimit, dft_shift_operator, oracle_validate_frequency_table
 
 
 class TestFrequencyTable:
@@ -63,6 +63,42 @@ class TestFrequencyTable:
         over = FrequencyTable(n=1, entries=np.array([[1], [1]]), multiplicity=1)
         with pytest.raises(ValueError, match="repeated"):
             validate_frequency_table(over)
+
+
+@st.composite
+def near_valid_tables(draw):
+    """A built table, sometimes with a few entries nudged or a row copied
+    down, or a sorted table of int32-extreme values whose squared norms
+    wrap in int64."""
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        values = st.sampled_from([0, 1, -1, 3, 2**31 - 1, -(2**31)])
+        rows = draw(st.lists(st.lists(values, min_size=n, max_size=n), max_size=8))
+        ent = np.array(sorted(rows), dtype=np.int64).reshape(-1, n)
+    else:
+        ent = frequency_table_auto(n, draw(st.integers(1, 12)), m).entries.copy()
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, len(ent) - 1)), draw(st.integers(0, n - 1))
+            ent[i, j] += draw(st.integers(-2, 2))
+        if len(ent) > 1 and draw(st.booleans()):
+            i = draw(st.integers(1, len(ent) - 1))
+            ent[i] = ent[i - 1]
+    return FrequencyTable(n=n, entries=ent, multiplicity=m)
+
+
+def _outcome(check, table):
+    try:
+        check(table)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=near_valid_tables())
+def test_validator_matches_row_by_row_oracle(table):
+    assert _outcome(validate_frequency_table, table) == \
+        _outcome(oracle_validate_frequency_table, table)
 
 
 class TestRotateCoeffs:

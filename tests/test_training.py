@@ -66,6 +66,36 @@ class TestInitModel:
         assert model.dictionary.shape == (16, 3)
         assert (model.dictionary >= 0).all()
 
+    @pytest.mark.parametrize("shape", [dict(), dict(image_dim=784, n_freq=128)])
+    def test_basis_orthonormal_to_1e_12_with_one_gram_check(self, monkeypatch, shape):
+        from torusparse import stiefel, torus
+
+        calls = []
+        error = stiefel.orthonormality_error
+
+        def counted(q):
+            calls.append(q.shape)
+            return error(q)
+
+        monkeypatch.setattr(stiefel, "orthonormality_error", counted)
+        monkeypatch.setattr(torus, "orthonormality_error", counted)
+        model = init_model(tiny_config(**shape), 3)
+        assert len(calls) == 1  # positive_qr's, not a second one in validate
+        gram = model.basis.T @ model.basis
+        assert np.abs(gram - np.eye(gram.shape[0])).max() <= 1e-12
+
+    def test_other_invariants_still_checked(self, monkeypatch):
+        from torusparse import training
+
+        def flipped_table(*args):
+            table = tp.frequency_table_auto(*args)
+            table.entries[-1] *= -1
+            return table
+
+        monkeypatch.setattr(training, "frequency_table_auto", flipped_table)
+        with pytest.raises(ValueError, match="violates canonical sign"):
+            init_model(tiny_config(), 0)
+
     def test_bitwise_determinism(self):
         cfg = tiny_config()
         a = init_model(cfg, 11)
