@@ -257,6 +257,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise UsageError(f"--threads must be >= 1, got {args.threads}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)

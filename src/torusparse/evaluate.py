@@ -46,7 +46,7 @@ def reconstruct_batch(images: np.ndarray, model, cfg,
     in training; the images are then regenerated in one batched pass.
     """
     images = np.atleast_2d(np.asarray(images, dtype=float))
-    basis = model.operator().basis
+    basis = model.basis
     codes, post = _infer_batch_threaded(images, model, cfg, threads, n_grid=n_grid)
     angles = map_estimate_batch(post)
     theta = angles @ model.freq.entries.T

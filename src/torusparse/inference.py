@@ -14,7 +14,16 @@ import math
 
 import numpy as np
 
-from .posterior import batch_posterior, natural_params, posterior_grid, posterior_pass
+from .posterior import (
+    _fold,
+    _half_spectrum,
+    _unfold,
+    batch_posterior,
+    grid_tables,
+    natural_params,
+    posterior_grid,
+    posterior_pass,
+)
 from .torus import rotate_pairs
 
 POWER_ITERATIONS = 300
@@ -122,12 +131,17 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
     approximate ascent residual R^T B^T (x - B R u) equals R^T v - rho * u,
     with R the expected rotation and rho_l = |r_l|^2 = c_l^2 + s_l^2 the
     squared length of its block l (R^T R is rho_l times the identity on
-    each block). The exact residual is R^T v - u, i.e. rho = 1.
+    each block). Read as complex numbers per block, that is
+    conj(r) (v - r u); the exact residual is R^T v - u = conj(r) v - u.
 
-    The FISTA iterations take only r-bar from ``posterior_pass``; the
-    normalised weights and their peaks are formed once, by a
-    ``batch_posterior`` pass at the final codes. Returns (codes,
-    BatchPosterior at the codes). Vectorizing over the batch is the
+    v, C = B^T Phi and the prior's eta are mapped once per call into the
+    half-spectrum frame of the grid table (``posterior._fold``), so the
+    FISTA iterations run ``posterior_pass`` with no gather or conjugation
+    of blocks. The gradient back . C / noise_var needs no unfold, since
+    Re(conj(C) back) is the same in both frames; eta_hat and rbar are
+    unfolded once, after the ``batch_posterior`` pass at the final codes
+    that also forms the normalised weights and their peaks. Returns
+    (codes, BatchPosterior at the codes). Vectorizing over the batch is the
     deterministic realization of per-image parallelism: every reduction
     happens in a fixed order. ``step`` is the FISTA step size, a function
     of the model alone (``fista_step_size``); callers that split one batch
@@ -138,23 +152,35 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
         raise ValueError("image length does not match model dimension")
     n_grid = cfg.grid_size if n_grid is None else n_grid
     exact = cfg.grad_mode == "exact"
-    coupling = model.basis.T @ model.dictionary
-    eta_prior = natural_params(model.prior)
-    images_coeff = images @ model.basis
-    problem = (coupling, eta_prior, model.noise_var, model.freq, n_grid)
+    tables = grid_tables(model.freq, n_grid)
+    v = _fold(images @ model.basis, tables)
+    images_coeff = v.view(float)
+    coupling = _fold((model.basis.T @ model.dictionary).T, tables).view(float).T
+    eta_prior = _fold(natural_params(model.prior), tables).view(float)
+    problem = (coupling, eta_prior, model.noise_var,
+               _half_spectrum(model.freq, n_grid), n_grid)
+    scaled = coupling / model.noise_var
 
     def ascent(codes):
-        rbar = posterior_pass(images_coeff, codes, *problem)[-1]
-        rc, rs = rbar[:, 0::2], rbar[:, 1::2]
-        rho = 1.0 if exact else np.repeat(rc * rc + rs * rs, 2, axis=1)
-        u = codes @ coupling.T
-        back = rotate_pairs(rc, rs, images_coeff, adjoint=True) - rho * u
-        return (back @ coupling) / model.noise_var
+        u, *_, rbar = posterior_pass(images_coeff, codes, *problem)
+        u, rbar = u.view(complex), rbar.view(complex)
+        if exact:
+            back = rbar.conj()
+            back *= v
+            back -= u
+        else:
+            back = rbar * u
+            np.subtract(v, back, out=back)
+            back *= rbar.conj()
+        return back.view(float) @ scaled
 
     step = fista_step_size(model) if step is None else step
     init = np.full((images.shape[0], model.dictionary.shape[1]), cfg.code_init)
     codes = fista(ascent, init, step, step * model.sparsity, cfg.fista_steps)
-    return codes, batch_posterior(images_coeff, codes, *problem)[0]
+    post = batch_posterior(images_coeff, codes, *problem)[0]
+    post.eta_hat = _unfold(post.eta_hat.view(complex), tables)
+    post.rbar = _unfold(post.rbar.view(complex), tables)
+    return codes, post
 
 
 def infer_code(image: np.ndarray, model, cfg, n_grid: int | None = None):

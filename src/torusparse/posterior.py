@@ -29,6 +29,8 @@ TABLE_CACHE_ENTRIES = 8
 
 _TABLE_CACHE: dict = {}
 _TABLE_LOCK = threading.Lock()
+# Sign and order of a grid table whose fold is the identity.
+_IDENTITY = np.empty(0, dtype=np.intp)
 
 
 @dataclass(eq=False)
@@ -78,18 +80,21 @@ def grid_tables(freq: FrequencyTable, N: int) -> tuple:
     (``grid_energy``) and its sin moment negated (``grid_expectation``).
     After this fold the last axis holds only rates >= 0 (9 values instead
     of 17 at the paper shape), which halves the width of the two last-axis
-    GEMMs.
+    GEMMs. The blocks, folded and gathered into cell order, form the
+    table's half-spectrum frame (``_fold``).
 
     Returns a tuple of arrays: for each torus axis k, the (N, A_k) complex
     table e^{2 pi i a j / N} over the A_k distinct values a of folded
     component k (ascending); the (L,) index of each block's cell in the
     C-ordered A_1 x ... x A_n box; the (L,) fold sign of each block (+1.0 or
-    -1.0); then the scatter plan of the blocks into the box: their stable
-    order by cell, the start of each run of equal cells in that order, and
-    the distinct cells. On a torus e^{i omega . s} = prod_k e^{i omega_k s_k},
-    so the posterior energy and the expected rotation are pruned DFTs over
-    this box, evaluated one axis at a time. Angles are reduced modulo N in
-    integers first.
+    -1.0); the scatter plan of the blocks into the box: their stable order
+    by cell, the start of each run of equal cells in that order, and the
+    distinct cells; then the conjugate phase tables of all axes but the
+    last. Sign and order are empty when the fold is the identity (no
+    negative last component, blocks already in cell order). On a torus
+    e^{i omega . s} = prod_k e^{i omega_k s_k}, so the posterior energy and
+    the expected rotation are pruned DFTs over this box, evaluated one axis
+    at a time. Angles are reduced modulo N in integers first.
 
     Cached per (table, N), oldest entry evicted first beyond
     TABLE_CACHE_ENTRIES: the same factors are reused across every inference
@@ -116,8 +121,15 @@ def grid_tables(freq: FrequencyTable, N: int) -> tuple:
     cells = np.ravel_multi_index(coords, [p.shape[1] for p in phases])
     order = np.argsort(cells, kind="stable")
     starts = np.flatnonzero(np.diff(cells[order], prepend=-1))
+    distinct = cells[order[starts]]
     sign = np.where(folded, -1.0, 1.0)
-    tables = (*phases, cells, sign, order, starts, cells[order[starts]])
+    if not folded.any() and (np.diff(cells) >= 0).all():
+        sign = order = _IDENTITY
+    return _cache_put(key, (*phases, cells, sign, order, starts, distinct,
+                            *(p.conj() for p in phases[:-1])))
+
+
+def _cache_put(key, tables: tuple) -> tuple:
     # Hits stay lock-free and never move their entry (no pop and reinsert),
     # so a chunk thread cannot miss a key another thread is touching; the
     # lock keeps two builders from evicting the same oldest entry.
@@ -129,26 +141,78 @@ def grid_tables(freq: FrequencyTable, N: int) -> tuple:
         return _TABLE_CACHE[key]
 
 
+def _split(tables: tuple) -> tuple:
+    """(phases, cells, sign, order, starts, distinct, conjugate phases) of a
+    ``grid_tables`` tuple, which holds 2n + 4 arrays for n axes."""
+    n = (len(tables) - 4) // 2
+    return (tables[:n], *tables[n:n + 5], tables[n + 5:])
+
+
+def _fold(pairs: np.ndarray, tables: tuple) -> np.ndarray:
+    """Interleaved (..., 2L) pairs as complex (..., L) blocks in the table's
+    half-spectrum frame: gathered into cell order, folded blocks conjugated.
+    An identity fold returns a view of ``pairs``."""
+    _, _, sign, order, _, _, _ = _split(tables)
+    blocks = np.ascontiguousarray(pairs).view(complex)
+    if order.size:
+        blocks = np.take(blocks, order, axis=-1)
+        blocks.imag *= sign[order]
+    return blocks
+
+
+def _unfold(blocks: np.ndarray, tables: tuple) -> np.ndarray:
+    """The inverse of ``_fold``: complex (..., L) half-spectrum blocks back
+    to interleaved (..., 2L) pairs in the table's block order."""
+    _, _, sign, order, _, _, _ = _split(tables)
+    if not order.size:
+        return blocks.view(float)
+    pairs = np.empty_like(blocks)
+    pairs[..., order] = blocks
+    pairs.imag *= sign
+    return pairs.view(float)
+
+
+def _half_spectrum(freq: FrequencyTable, N: int) -> FrequencyTable:
+    """The frequency table of the half-spectrum frame of ``grid_tables(freq,
+    N)``: its rates folded and in cell order, so that its own fold is the
+    identity. Its grid tables are derived from freq's (the same phase
+    arrays, the cells sorted) and cached beside them, with no second
+    lattice build; call it once before threads share the frame."""
+    tables = grid_tables(freq, N)
+    phases, cells, sign, order, starts, distinct, conj = _split(tables)
+    if not order.size:
+        return freq
+    entries = np.where(sign[:, None] < 0, -freq.entries, freq.entries)[order]
+    folded = FrequencyTable(freq.n, entries, freq.multiplicity)
+    key = folded.cache_key() + (N,)
+    if key not in _TABLE_CACHE:
+        _cache_put(key, (*phases, cells[order], _IDENTITY, _IDENTITY, starts,
+                         distinct, *conj))
+    return folded
+
+
 def grid_energy(eta_hat: np.ndarray, tables: tuple) -> np.ndarray:
     """Energies eta_c . cos(omega_l . s) + eta_s . sin(omega_l . s) of a
     (B, 2L) batch of natural parameters over the grid, shape (B, N**n).
 
-    Reads eta_hat as complex z = eta_c + i eta_s (conjugated for folded
-    blocks), sums it into the frequency box along the scatter plan and
-    takes Re sum z e^{-i omega . s}: axes 1..n-1 by batched matmuls with the
-    conjugate phases, the last axis as one real GEMM of the (re, im) float
-    view against the (cos, sin) table.
+    Reads eta_hat as complex z = eta_c + i eta_s in the half-spectrum frame
+    (``_fold``; no work when the table is already folded), sums blocks
+    sharing a cell into the frequency box along the scatter plan and takes
+    Re sum z e^{-i omega . s}: axes 1..n-1 by batched matmuls with the
+    cached conjugate phases, the last axis as one real GEMM of the (re, im)
+    float view against the (cos, sin) table.
     """
-    *phases, _, sign, order, starts, distinct = tables
-    b = eta_hat.shape[0]
+    phases, _, _, _, starts, distinct, conj = _split(tables)
+    blocks = _fold(eta_hat, tables)
+    b = blocks.shape[0]
     rest = math.prod(p.shape[1] for p in phases)
-    blocks = eta_hat.view(complex)[:, order]
-    blocks.imag *= sign[order]
+    if starts.size < blocks.shape[1]:
+        blocks = np.add.reduceat(blocks, starts, axis=1)
     partial = np.zeros((b, rest), dtype=complex)
-    partial[:, distinct] = np.add.reduceat(blocks, starts, axis=1)
-    for phase in phases[:-1]:
+    partial[:, distinct] = blocks
+    for phase in conj:
         rest //= phase.shape[1]
-        partial = np.matmul(phase.conj(), partial.reshape(b, -1, phase.shape[1], rest))
+        partial = np.matmul(phase, partial.reshape(b, -1, phase.shape[1], rest))
     last = phases[-1]
     energy = partial.reshape(-1, last.shape[1]).view(float) @ last.view(float).T
     return energy.reshape(b, -1)
@@ -163,7 +227,7 @@ def grid_expectation(weights: np.ndarray, tables: tuple) -> np.ndarray:
     each block reads its cell, whose (re, im) view is the (cos, sin) pair,
     and folded blocks negate their sin.
     """
-    *phases, cells, sign, _, _, _ = tables
+    phases, cells, sign, _, _, _, _ = _split(tables)
     b = weights.shape[0]
     last = phases[-1]
     n_grid, rest = last.shape
@@ -172,7 +236,8 @@ def grid_expectation(weights: np.ndarray, tables: tuple) -> np.ndarray:
         partial = np.matmul(phase.T, partial.reshape(b, -1, n_grid, rest))
         rest *= phase.shape[1]
     moments = np.take(partial.reshape(b, -1), cells, axis=1)
-    moments.imag *= sign
+    if sign.size:
+        moments.imag *= sign
     return moments.view(float)
 
 
@@ -241,7 +306,11 @@ def _eta_from_coefficients(u, v, eta_prior, noise_var):
     def pairs(x):
         return np.ascontiguousarray(x).view(complex)
 
-    return (pairs(eta_prior) + pairs(u).conj() * pairs(v) / noise_var).view(float)
+    eta = np.conjugate(pairs(u))
+    eta *= pairs(v)
+    eta /= noise_var
+    eta += pairs(eta_prior)
+    return eta.view(float)
 
 
 def posterior_grid(eta_hat: np.ndarray, freq: FrequencyTable, N: int) -> PosteriorGrid:
@@ -328,20 +397,25 @@ def posterior_pass(
 
     ``images_coeff`` is (B, 2L) of basis coefficients of the images and
     ``coupling`` the (2L, K) matrix of basis coefficients of the
-    dictionary, so u = codes @ coupling.T. Returns (eta_hat, weights, sums,
-    rbar): the (B, 2L) natural parameters, the (B, N**n) row-max-shifted
-    unnormalised weights, their (B, 1) row sums, and the expected rotation
-    pairs rbar = expectation(weights) / sums. Summation orders are fixed, so
-    results are reproducible bit for bit.
+    dictionary, so u = codes @ coupling.T. Returns (u, eta_hat, weights,
+    sums, rbar): the (B, 2L) coupled templates and natural parameters, the
+    (B, N**n) row-max-shifted unnormalised weights, their (B, 1) row sums,
+    and the expected rotation pairs rbar = expectation(weights) / sums, all
+    in freq's block order. The pass is cheapest when freq is a table's
+    half-spectrum frame (``_half_spectrum``, with the problem mapped by
+    ``_fold``): no block is gathered or conjugated, as FISTA runs it.
+    Summation orders are fixed, so results are reproducible bit for bit.
     """
     tables = grid_tables(freq, N)
-    eta_hat = _eta_from_coefficients(codes @ coupling.T, images_coeff, eta_prior,
-                                     noise_var)
+    u = codes @ coupling.T
+    eta_hat = _eta_from_coefficients(u, images_coeff, eta_prior, noise_var)
     weights = grid_energy(eta_hat, tables)
     weights -= weights.max(axis=1, keepdims=True)
     np.exp(weights, out=weights)
     sums = weights.sum(axis=1, keepdims=True)
-    return eta_hat, weights, sums, grid_expectation(weights, tables) / sums
+    rbar = grid_expectation(weights, tables)
+    rbar /= sums
+    return u, eta_hat, weights, sums, rbar
 
 
 def batch_posterior(
@@ -356,9 +430,11 @@ def batch_posterior(
     """``posterior_pass`` with its weights normalised and each image's peak.
 
     Returns (BatchPosterior, weights) with weights (B, N**n) summing to one
-    per image.
+    per image; eta_hat and rbar are in freq's block order, whatever the
+    table (a half-spectrum table's own order is its folded one), and the
+    peaks do not depend on the frame.
     """
-    eta_hat, weights, sums, rbar = posterior_pass(
+    _, eta_hat, weights, sums, rbar = posterior_pass(
         images_coeff, codes, coupling, eta_prior, noise_var, freq, N)
     weights /= sums
     post = BatchPosterior(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .datasets import normalize_batch
 from .inference import fista, fista_step_size, infer_code_batch, spectral_norm
-from .posterior import BatchPosterior, TorusPrior, grid_tables, rotation_second_moment
+from .posterior import BatchPosterior, TorusPrior, _half_spectrum, rotation_second_moment
 from .stiefel import StiefelAdamState, phi_update, positive_qr, riemannian_adam_step
 from .torus import (
     FrequencyTable,
@@ -256,11 +256,17 @@ def _chunk_slices(total: int, workers: int, grid_points: int):
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def _infer_batch_threaded(images, model, cfg, threads: int,
                           n_grid: Optional[int] = None):
     """Chunked inference on up to ``threads`` threads, for training and
     evaluation alike; results are assembled in chunk order, so a given
     chunking always reproduces the same bits regardless of scheduling."""
+    _check_threads(threads)
     n_grid = cfg.grid_size if n_grid is None else n_grid
     slices = _chunk_slices(images.shape[0], threads, n_grid**model.freq.n)
     step = fista_step_size(model)  # shared by every chunk
@@ -268,7 +274,7 @@ def _infer_batch_threaded(images, model, cfg, threads: int,
         return infer_code_batch(images, model, cfg, n_grid=n_grid, step=step)
     from concurrent.futures import ThreadPoolExecutor
 
-    grid_tables(model.freq, n_grid)  # build once, before the chunks race
+    _half_spectrum(model.freq, n_grid)  # build its tables once, before the chunks race
     with ThreadPoolExecutor(max_workers=max(1, min(threads, len(slices)))) as pool:
         parts = list(pool.map(
             lambda sl: infer_code_batch(images[sl], model, cfg, n_grid=n_grid, step=step),
@@ -355,6 +361,7 @@ def train(
     tab-separated lines.
     """
     cfg.validate()
+    _check_threads(threads)
     adam = StiefelAdamState.init(model.basis.shape, cfg.lr_basis)
 
     def batch_step(batch):

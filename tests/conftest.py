@@ -9,6 +9,7 @@ for spectral norms, explicit index rolls for shifts.
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from torusparse import (
     FrequencyTable,
@@ -19,10 +20,38 @@ from torusparse import (
     init_model,
     make_synthetic,
 )
-from torusparse.posterior import grid_lattice, natural_params, posterior_grid
+from torusparse.inference import fista, fista_step_size
+from torusparse.posterior import (
+    grid_energy,
+    grid_expectation,
+    grid_lattice,
+    grid_tables,
+    natural_params,
+    posterior_grid,
+)
 from torusparse.torus import TWO_PI, rotate_pairs
 
 DESK_SIDE = 16
+
+
+@st.composite
+def fold_tables(draw):
+    """Rate tables for the half-spectrum fold: n in {1, 2, 3}, each rate
+    repeated m in {1, 2} times, of any sign (negative last components fold,
+    and a rate with its negation shares one cell), or the baseline's
+    all-zero table."""
+    if draw(st.integers(0, 4)) == 0:
+        L = draw(st.integers(1, 4))
+        return FrequencyTable(n=1, entries=np.zeros((L, 1), dtype=np.int64),
+                              multiplicity=L)
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 2))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                         min_size=1, max_size=5))
+    if draw(st.booleans()):
+        rows.append([-x for x in rows[0]])
+    entries = np.array([row for row in rows for _ in range(m)], dtype=np.int64)
+    return FrequencyTable(n=n, entries=entries, multiplicity=m)
 
 
 def small_model(seed, d=12, L=3, k=3, n=1, noise_var=0.05, sparsity=10.0,
@@ -95,6 +124,49 @@ def oracle_gradients(image, code, model, rbar, mode, weights=None, N=None):
         - model.basis @ second_moment
     )
     return grad_d / model.noise_var, grad_b / model.noise_var
+
+
+def oracle_posterior_pass(images_coeff, codes, coupling, eta_prior, noise_var,
+                          freq, N):
+    """The standard-frame grid pass FISTA ran before its half-spectrum
+    frame: (eta_hat, weights, sums, rbar) in freq's block order, the grid
+    table folding and unfolding the blocks on every call."""
+    def pairs(x):
+        return np.ascontiguousarray(x).view(complex)
+
+    tables = grid_tables(freq, N)
+    u = codes @ coupling.T
+    eta_hat = (pairs(eta_prior) + pairs(u).conj() * pairs(images_coeff)
+               / noise_var).view(float)
+    weights = grid_energy(eta_hat, tables)
+    weights -= weights.max(axis=1, keepdims=True)
+    np.exp(weights, out=weights)
+    sums = weights.sum(axis=1, keepdims=True)
+    return eta_hat, weights, sums, grid_expectation(weights, tables) / sums
+
+
+def oracle_infer_code_batch(images, model, cfg, N):
+    """Batch inference iterated in the standard frame, with the ascent
+    R^T v - rho u applied by ``rotate_pairs``: returns (codes, eta_hat,
+    rbar, normalised weights) at the final codes."""
+    exact = cfg.grad_mode == "exact"
+    coupling = model.basis.T @ model.dictionary
+    images_coeff = images @ model.basis
+    problem = (coupling, natural_params(model.prior), model.noise_var, model.freq, N)
+
+    def ascent(codes):
+        rbar = oracle_posterior_pass(images_coeff, codes, *problem)[-1]
+        rc, rs = rbar[:, 0::2], rbar[:, 1::2]
+        rho = 1.0 if exact else np.repeat(rc * rc + rs * rs, 2, axis=1)
+        back = (rotate_pairs(rc, rs, images_coeff, adjoint=True)
+                - rho * (codes @ coupling.T))
+        return (back @ coupling) / model.noise_var
+
+    step = fista_step_size(model)
+    init = np.full((images.shape[0], model.dictionary.shape[1]), cfg.code_init)
+    codes = fista(ascent, init, step, step * model.sparsity, cfg.fista_steps)
+    eta_hat, weights, sums, rbar = oracle_posterior_pass(images_coeff, codes, *problem)
+    return codes, eta_hat, rbar, weights / sums
 
 
 def brute_posterior_weights(image, code, model, N) -> np.ndarray:

@@ -353,3 +353,10 @@ class TestPipeline:
             assert rc == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_fewer_than_one_thread_is_a_usage_error(capsys, value):
+    rc = main(["--threads", value, "eval", "--ckpt", "m", "--data", "d"])
+    assert rc == 1
+    assert "--threads" in capsys.readouterr().err

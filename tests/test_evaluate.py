@@ -341,3 +341,29 @@ def test_step_size_computed_once_for_eight_chunks(monkeypatch):
     batch = reconstruct_batch(images, model, cfg, threads=2)
     assert calls == [model]
     np.testing.assert_array_equal(np.stack([r.code for r in batch]), unshared)
+
+
+def test_reconstruct_batch_runs_no_gram_check(monkeypatch):
+    # the model was validated when it was built or loaded; reading its
+    # basis must not form B^T B again
+    from torusparse import stiefel, torus
+
+    model, cfg, images = cap_chunked_case()
+    calls = []
+    check = stiefel.orthonormality_error
+
+    def counted(basis):
+        calls.append(basis.shape)
+        return check(basis)
+
+    monkeypatch.setattr(torus, "orthonormality_error", counted)
+    monkeypatch.setattr(stiefel, "orthonormality_error", counted)
+    reconstruct_batch(images[:4], model, cfg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_reconstruct_batch_refuses_fewer_than_one_thread(threads):
+    model, cfg, images = cap_chunked_case()
+    with pytest.raises(ValueError, match="threads"):
+        reconstruct_batch(images[:4], model, cfg, threads=threads)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
 import torusparse as tp
 from torusparse.inference import (
@@ -22,7 +23,7 @@ from torusparse.posterior import (
 )
 from torusparse.torus import build_frequency_table
 
-from conftest import point_mass_grid, small_model
+from conftest import fold_tables, oracle_infer_code_batch, point_mass_grid, small_model
 
 
 def golden_minimize(fn, lo, hi, iters=200):
@@ -351,3 +352,65 @@ def test_ascent_rbar_is_batch_posterior_rbar_bit_for_bit(monkeypatch):
     assert len(seen) == cfg.fista_steps
     for args, rbar in seen:
         assert np.array_equal(batch_posterior(*args)[0].rbar, rbar)
+
+
+def check_against_standard_frame_oracle(images, model, cfg):
+    codes, post = infer_code_batch(images, model, cfg)
+    want_codes, want_eta, want_rbar, want_weights = oracle_infer_code_batch(
+        images, model, cfg, cfg.grid_size)
+    np.testing.assert_allclose(codes, want_codes, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(post.rbar, want_rbar, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(post.eta_hat, want_eta, rtol=0, atol=1e-12)
+    return post.peak_index, want_weights
+
+
+@pytest.mark.parametrize("mode", ["approximate", "exact"])
+def test_half_spectrum_iterations_keep_the_oracle_peaks(mode):
+    model = small_model(61, d=20, L=8, k=3, n=2, noise_var=0.1, sparsity=0.5,
+                        kappa_scale=1.0)
+    assert (model.freq.entries[:, -1] < 0).any()
+    cfg = tp.TrainConfig(image_dim=20, n_freq=8, n_atoms=3, torus_dim=2,
+                         fista_steps=8, grid_size=16, noise_var=0.1,
+                         sparsity=0.5, code_init=0.5, grad_mode=mode)
+    rng = np.random.default_rng(62)
+    images = rng.uniform(0.05, 1, (6, 20))
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    peaks, weights = check_against_standard_frame_oracle(images, model, cfg)
+    np.testing.assert_array_equal(peaks, np.argmax(weights, axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(freq=fold_tables(), N=st.integers(3, 8), atoms=st.integers(1, 3),
+       batch=st.integers(1, 4), noise_var=st.floats(0.05, 0.5),
+       mode=st.sampled_from(["approximate", "exact"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_half_spectrum_iterations_match_the_standard_frame_oracle(
+    freq, N, atoms, batch, noise_var, mode, seed
+):
+    # FISTA runs in the grid table's half-spectrum frame and unfolds once;
+    # the oracle folds and unfolds inside every pass, with the ascent
+    # applied by rotate_pairs
+    rng = np.random.default_rng(seed)
+    d = 2 * freq.L + 2
+    dictionary = rng.uniform(size=(d, atoms))
+    dictionary /= np.linalg.norm(dictionary, axis=0)
+    model = tp.ModelParams(
+        basis=np.linalg.qr(rng.standard_normal((d, 2 * freq.L)))[0],
+        dictionary=dictionary, freq=freq, noise_var=noise_var, sparsity=0.2,
+        prior=tp.TorusPrior(kappa=rng.uniform(0, 1, freq.L),
+                            mu=rng.uniform(0, 2 * np.pi, freq.L)),
+    )
+    cfg = tp.TrainConfig(image_dim=d, n_freq=freq.L, n_atoms=atoms,
+                         torus_dim=freq.n, fista_steps=5, grid_size=N,
+                         noise_var=noise_var, sparsity=0.2, code_init=0.5,
+                         grad_mode=mode)
+    images = rng.uniform(0.05, 1, (batch, d))
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    peaks, weights = check_against_standard_frame_oracle(images, model, cfg)
+    # a table whose rates do not tell some grid points apart (all rates
+    # multiples of (1, -1), say) gives them equal weights up to rounding;
+    # the peak may then be either, and nowhere else
+    want = np.argmax(weights, axis=1)
+    rows = np.arange(batch)
+    tied = np.abs(weights[rows, peaks] - weights[rows, want]) <= 1e-12
+    assert ((peaks == want) | tied).all()

@@ -30,6 +30,7 @@ from conftest import (
     brute_posterior_weights,
     brute_posterior_weights_fast,
     dense_grid_table,
+    fold_tables,
     point_mass_grid,
     small_model,
 )
@@ -438,3 +439,30 @@ def test_table_cache_stays_bounded_under_concurrent_builds(monkeypatch):
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert len(posterior._TABLE_CACHE) <= TABLE_CACHE_ENTRIES
+
+
+@settings(max_examples=60, deadline=None)
+@given(freq=fold_tables(), N=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+def test_fold_round_trips_and_is_idempotent_bit_for_bit(freq, N, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((3, 2 * freq.L))
+    x[rng.random(x.shape) < 0.2] = -0.0
+    tables = grid_tables(freq, N)
+    folded = posterior._fold(x, tables)
+    assert np.array_equal(posterior._unfold(folded, tables).view(np.uint64),
+                          x.view(np.uint64))
+    # the half-spectrum table folds nothing, so folding a folded problem
+    # (or the table itself) is the identity
+    frame = posterior._half_spectrum(freq, N)
+    assert posterior._half_spectrum(frame, N) is frame
+    assert (frame.entries[:, -1] >= 0).all()
+    frame_tables = grid_tables(frame, N)
+    again = posterior._fold(folded.view(float), frame_tables)
+    assert np.array_equal(again.view(np.uint64), folded.view(np.uint64))
+    # its tables, derived from freq's, are those a build of its own gives
+    key = frame.cache_key() + (N,)
+    if posterior._TABLE_CACHE.pop(key, None) is not None:
+        built = grid_tables(frame, N)
+        assert len(built) == len(frame_tables)
+        for a, b in zip(built, frame_tables):
+            assert a.dtype == b.dtype and np.array_equal(a, b)

@@ -651,3 +651,13 @@ def test_basis_term_has_the_ambient_gradient_tangent_part(case, exact, seed):
     sym += sym.T
     normal = tangent_project(model.basis, model.basis @ sym)
     assert np.abs(normal).max() <= 1e-12 * np.abs(sym).max()
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_train_refuses_fewer_than_one_thread(tmp_path, threads):
+    cfg = tiny_config(epochs=1)
+    log = tmp_path / "train.log"
+    with pytest.raises(ValueError, match="threads"):
+        train(init_model(cfg, 0), tiny_dataset(), cfg, threads=threads,
+              log_path=str(log))
+    assert not log.exists()
