@@ -2,12 +2,14 @@
 
 Warps resample with bilinear interpolation, zero fill outside the source
 (or wraparound when cyclic), so any continuous parameter value is valid.
-Synthetic generation derives an independent RNG per (seed, template,
-sample) index, making parallel generation order-independent.
+Synthetic generation draws each sample's parameters from its own PCG64
+stream, keyed by (seed, template, sample), so no batching or order of
+generation changes them.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -219,19 +221,122 @@ def warp_rot_scale(img: np.ndarray, theta: float, scale: float) -> np.ndarray:
     return _bilinear_sample(img[None], rows, cols, cyclic=False)[0]
 
 
-def _sample_rng(seed: int, template_idx: int, sample_idx: int):
-    return np.random.default_rng(
-        np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, template_idx, sample_idx])
-    )
+# numpy.random.SeedSequence hash constants and the PCG64 (XSL-RR) multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_PCG_MULT_LO_HALVES = np.uint64(0x9FCCF645), np.uint64(0x4385DF64)
+_LOW32, _32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+_SEED_MASK = 2**64 - 1
+
+# Samples whose parameters are drawn per pass of _draw_parameters: about
+# 40 uint32/uint64 temporaries of this length, a few MB in all.
+DRAW_SAMPLES = 1 << 14
+
+
+def _hash_steps(init: int, mult: int, count: int):
+    """(xor, multiplier) constants of the first count SeedSequence hash
+    steps: the running multiplier does not depend on the data hashed."""
+    steps = []
+    for _ in range(count):
+        nxt = init * mult & 0xFFFFFFFF
+        steps.append((np.uint32(init), np.uint32(nxt)))
+        init = nxt
+    return steps
+
+
+_POOL_STEPS = _hash_steps(_INIT_A, _MULT_A, 16)  # 4 pool fills, 12 cross mixes
+_STATE_STEPS = _hash_steps(_INIT_B, _MULT_B, 8)  # generate_state(4, uint64)
+
+
+def _hash(value, step):
+    """SeedSequence's hashmix (and one generate_state word) for one step."""
+    xor, mult = step
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x, y):
+    """SeedSequence's mix of pool word x with hashed word y."""
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ (value >> np.uint32(16))
+
+
+def _mul_hi(a):
+    """High 64 bits of the 128-bit products a * _PCG_MULT_LO, by 32-bit halves."""
+    (b0, b1), a0, a1 = _PCG_MULT_LO_HALVES, a & _LOW32, a >> _32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> _32) + (p10 >> _32) + (mid >> _32)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 LCG step, state * multiplier + increment mod 2**128."""
+    prod_hi = _mul_hi(lo) + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI
+    return _add128(prod_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
+
+
+def _draw_parameters(seed: int, n_templates: int, count: int, ranges) -> np.ndarray:
+    """(n_templates * count, 2) warp parameters, template-major.
+
+    Row t * count + s holds two uniform draws of
+    np.random.default_rng(np.random.SeedSequence([seed mod 2**64, t, s])),
+    bit for bit: the SeedSequence pool and generate_state(4, uint64), the
+    PCG64 seeding and two XSL-RR outputs x, and lo + (hi - lo) * (x >> 11)
+    * 2**-53, all computed for DRAW_SAMPLES samples per pass in uint32 and
+    uint64 arrays (array arithmetic wraps without warnings). t and s are
+    one 32-bit entropy word each, which holds below 2**32 samples.
+    """
+    seed = operator.index(seed) & _SEED_MASK
+    words = [seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed]
+    # length-1 arrays, not scalars: scalar integer overflow warns
+    head = [np.array([word], dtype=np.uint32) for word in words]
+    pad = [np.zeros(1, dtype=np.uint32)] * (2 - len(words))
+    ranges = [(float(lo), float(hi)) for lo, hi in ranges]
+    meta = np.empty((n_templates * count, 2))
+    for start in range(0, len(meta), DRAW_SAMPLES):
+        stop = min(start + DRAW_SAMPLES, len(meta))
+        t, s = np.divmod(np.arange(start, stop), count)
+        entropy = head + [t.astype(np.uint32), s.astype(np.uint32)] + pad
+        pool = [_hash(word, step) for word, step in zip(entropy, _POOL_STEPS)]
+        steps = iter(_POOL_STEPS[4:])
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hash(pool[src], next(steps)))
+        generated = [_hash(pool[k % 4], step).astype(np.uint64)
+                     for k, step in enumerate(_STATE_STEPS)]
+        # little-endian word pairs: seed = (w0, w1), stream = (w2, w3) (high, low)
+        w = [generated[2 * k] | (generated[2 * k + 1] << _32) for k in range(4)]
+        inc_hi = (w[2] << np.uint64(1)) | (w[3] >> np.uint64(63))
+        inc_lo = (w[3] << np.uint64(1)) | np.uint64(1)
+        # PCG64 seeding: state = (increment + seed) * multiplier + increment
+        hi, lo = _pcg_step(*_add128(inc_hi, inc_lo, w[0], w[1]), inc_hi, inc_lo)
+        for column, (low, high) in enumerate(ranges):
+            hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+            x, rot = hi ^ lo, hi >> np.uint64(58)  # XSL-RR output
+            x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+            unit = (x >> np.uint64(11)).astype(float) * 2.0**-53
+            meta[start:stop, column] = low + (high - low) * unit
+    return meta
 
 
 def make_synthetic(templates, spec: TransformSpec, seed: int) -> Dataset:
     """Apply random warps to each template, template-major order.
 
-    Parameters are drawn uniformly from the spec ranges using one RNG per
-    (seed, template, sample) triple, and recorded in the dataset meta. The
-    images are then warped WARP_PIXELS output pixels at a time. Raises
-    ValueError naming the first sample whose warp has a non-finite pixel.
+    Sample s of template t takes its two parameters, in spec.ranges
+    order, from two `uniform` draws of a PCG64 generator seeded with
+    np.random.SeedSequence([seed mod 2**64, t, s]); the meta rows hold
+    them. All samples' draws run as one vectorised pass over blocks of
+    DRAW_SAMPLES samples, and the images are then warped WARP_PIXELS
+    output pixels at a time. Raises ValueError naming the first sample
+    whose warp has a non-finite pixel.
     """
     templates = [np.asarray(t, dtype=float) for t in templates]
     if not templates:
@@ -240,13 +345,7 @@ def make_synthetic(templates, spec: TransformSpec, seed: int) -> Dataset:
     if any(t.shape != (side, side) for t in templates):
         raise ValueError("all templates must share one square shape")
     count = spec.count_per_template
-    (lo0, hi0), (lo1, hi1) = spec.ranges
-    draws = []
-    for ti in range(len(templates)):
-        for si in range(count):
-            rng = _sample_rng(seed, ti, si)
-            draws.append((rng.uniform(lo0, hi0), rng.uniform(lo1, hi1)))
-    meta = np.array(draws, dtype=float)
+    meta = _draw_parameters(seed, len(templates), count, spec.ranges)
 
     stack = np.stack(templates)
     cyclic = spec.cyclic and spec.kind == "translate2d"  # rotations zero-fill
