@@ -1,6 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error.
+Exit codes: 0 success, 1 usage error, 2 data or validation error (out of
+memory included).
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def _cmd_gen_data(args) -> int:
         if args.scale:
             ranges[1] = tuple(args.scale)
         spec = TransformSpec("rotscale", tuple(ranges), args.count_per_template)
-    dataset = make_synthetic(templates, spec, args.seed)
+    dataset = make_synthetic(templates, spec, args.seed, threads=args.threads)
     save_checkpoint(_placeholder_model(dataset.images.shape[1]), args.out,
                     dataset=dataset)
     print(f"wrote {dataset.images.shape[0]} images to {args.out}")
@@ -285,6 +286,9 @@ def main(argv=None) -> int:
     except (CheckpointError, ConfigError, IdxFormatError, ValueError,
             FileNotFoundError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return 2
 
 

@@ -26,6 +26,9 @@ PARAMETER_NAMES = {"translate2d": ("dx", "dy"), "rotscale": ("theta", "scale")}
 # fractional pixel, and past 2**63 the floor of a position no longer fits
 # the int64 pixel index, so a cyclic warp would read garbage weights.
 MAX_SHIFT = 2.0**52
+# Most samples per template: sample s enters the SeedSequence entropy as one
+# uint32 word, so s = 2**32 would repeat the parameters of sample 0.
+MAX_COUNT = 2**32
 
 # Output pixels warped per pass of make_synthetic (41 images at 28x28): the
 # temporaries of one pass stay a few MB, where one pass over all samples
@@ -68,6 +71,8 @@ class TransformSpec:
             raise ValueError(f"unknown transform kind {self.kind!r}")
         if self.count_per_template < 1:
             raise ValueError("count_per_template must be >= 1")
+        if self.count_per_template > MAX_COUNT:
+            raise ValueError(f"count_per_template {self.count_per_template} exceeds 2**32")
         if len(self.ranges) != 2:
             raise ValueError(f"expected two (lo, hi) ranges, got {len(self.ranges)}")
         for name, (lo, hi) in zip(PARAMETER_NAMES[self.kind], self.ranges):
@@ -130,10 +135,11 @@ def load_idx_labels(path) -> np.ndarray:
 
 
 def _bilinear_sample(imgs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                     cyclic: bool) -> np.ndarray:
+                     cyclic: bool, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Sample each imgs[s] at fractional (row, col) positions; zero fill or wrap.
 
-    imgs is (S, side, side); rows and cols broadcast to (S, side, side). The
+    imgs is (S, side, side); rows and cols broadcast to (S, side, side), the
+    shape of the result, which is written to ``out`` when given. The
     four corners of every sample are gathered at once through flat indices
     into a framed copy of the images. Cyclic frames append row 0 and
     column 0 after the last ones, so corner r + 1 of a wrapped r needs no
@@ -160,10 +166,21 @@ def _bilinear_sample(imgs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         r0, c0 = np.clip(r0, -2, side), np.clip(c0, -2, side)
     base = (np.arange(count) * (width * width) + pad * (width + 1))[:, None, None]
     corner = (base + r0 * width) + c0
-    out = np.zeros(np.broadcast_shapes(corner.shape, fr.shape, fc.shape))
-    for offset, weight in ((0, gr * gc), (1, gr * fc), (width, fr * gc),
-                           (width + 1, fr * fc)):
-        out += weight * framed.take(corner + offset)
+    del r0, c0  # two block-sized arrays fewer while the corners are gathered
+    shape = np.broadcast_shapes(corner.shape, fr.shape, fc.shape)
+    if out is None:
+        out = np.zeros(shape)
+    else:
+        out[...] = 0.0
+    weight, taken = np.empty(shape), np.empty(shape)
+    # corners at offsets 0, 1, width and width + 1; every index is in the
+    # frame (wrapped or clipped above), so "clip" mode changes none
+    for step, a, b in ((0, gr, gc), (1, gr, fc), (width - 1, fr, gc), (1, fr, fc)):
+        corner += step
+        np.multiply(a, b, out=weight)
+        framed.take(corner, out=taken, mode="clip")
+        taken *= weight
+        out += taken
     return out
 
 
@@ -291,7 +308,8 @@ def _draw_parameters(seed: int, n_templates: int, count: int, ranges) -> np.ndar
     PCG64 seeding and two XSL-RR outputs x, and lo + (hi - lo) * (x >> 11)
     * 2**-53, all computed for DRAW_SAMPLES samples per pass in uint32 and
     uint64 arrays (array arithmetic wraps without warnings). t and s are
-    one 32-bit entropy word each, which holds below 2**32 samples.
+    one 32-bit entropy word each, which holds below 2**32 samples
+    (TransformSpec refuses more than MAX_COUNT per template).
     """
     seed = operator.index(seed) & _SEED_MASK
     words = [seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed]
@@ -327,17 +345,23 @@ def _draw_parameters(seed: int, n_templates: int, count: int, ranges) -> np.ndar
     return meta
 
 
-def make_synthetic(templates, spec: TransformSpec, seed: int) -> Dataset:
+def make_synthetic(templates, spec: TransformSpec, seed: int,
+                   threads: int = 1) -> Dataset:
     """Apply random warps to each template, template-major order.
 
     Sample s of template t takes its two parameters, in spec.ranges
     order, from two `uniform` draws of a PCG64 generator seeded with
     np.random.SeedSequence([seed mod 2**64, t, s]); the meta rows hold
     them. All samples' draws run as one vectorised pass over blocks of
-    DRAW_SAMPLES samples, and the images are then warped WARP_PIXELS
-    output pixels at a time. Raises ValueError naming the first sample
-    whose warp has a non-finite pixel.
+    DRAW_SAMPLES samples. The images are then warped in blocks of
+    WARP_PIXELS output pixels, dealt round-robin to up to ``threads``
+    threads, the calling one among them. Each block writes its own rows
+    of the result, so the bytes do not depend on the thread count. Raises
+    ValueError naming the first sample whose warp has a non-finite pixel,
+    whichever thread warped it.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     templates = [np.asarray(t, dtype=float) for t in templates]
     if not templates:
         raise ValueError("need at least one template")
@@ -349,28 +373,42 @@ def make_synthetic(templates, spec: TransformSpec, seed: int) -> Dataset:
 
     stack = np.stack(templates)
     cyclic = spec.cyclic and spec.kind == "translate2d"  # rotations zero-fill
+    positions = _translate_positions if spec.kind == "translate2d" else _rot_scale_positions
     images = np.empty((len(meta), side, side))
     block = max(1, WARP_PIXELS // (side * side))
-    for start in range(0, len(meta), block):
+
+    def warp(start):
+        """Warp one block into its rows of images; its per-sample finite flags."""
         stop = min(start + block, len(meta))
-        p0, p1 = meta[start:stop, 0], meta[start:stop, 1]
         with np.errstate(invalid="ignore", over="ignore"):
-            if spec.kind == "translate2d":
-                rows, cols = _translate_positions(side, p0, p1)
-            else:
-                rows, cols = _rot_scale_positions(side, p0, p1)
-            warped = _bilinear_sample(stack[np.arange(start, stop) // count],
-                                      rows, cols, cyclic)
-        finite = np.isfinite(warped).reshape(stop - start, -1).all(axis=1)
-        if not finite.all():
-            row = start + int(np.argmin(finite))
-            (name0, name1), (value0, value1) = PARAMETER_NAMES[spec.kind], meta[row]
-            raise ValueError(
-                f"template {row // count} sample {row % count} "
-                f"({name0}={float(value0)!r}, {name1}={float(value1)!r}) "
-                "warps to a non-finite pixel"
-            )
-        images[start:stop] = warped
+            rows, cols = positions(side, meta[start:stop, 0], meta[start:stop, 1])
+            _bilinear_sample(stack[np.arange(start, stop) // count], rows, cols, cyclic,
+                             out=images[start:stop])
+        return np.isfinite(images[start:stop]).reshape(stop - start, -1).all(axis=1)
+
+    starts = range(0, len(meta), block)
+    lanes = min(threads, len(starts))
+
+    def warp_lane(lane):
+        """Blocks lane, lane + lanes, ... in order; their finite flags."""
+        return [warp(start) for start in starts[lane::lanes]]
+
+    from concurrent.futures import ThreadPoolExecutor  # not at the top: slow to import
+
+    # The calling thread warps lane 0 itself: one thread fewer holds its
+    # own allocator arena of block temporaries.
+    with ThreadPoolExecutor(max_workers=max(1, lanes - 1)) as pool:
+        others = pool.map(warp_lane, range(1, lanes))
+        parts = [warp_lane(0), *others]
+    finite = np.concatenate([parts[k % lanes][k // lanes] for k in range(len(starts))])
+    if not finite.all():
+        row = int(np.argmin(finite))
+        (name0, name1), (value0, value1) = PARAMETER_NAMES[spec.kind], meta[row]
+        raise ValueError(
+            f"template {row // count} sample {row % count} "
+            f"({name0}={float(value0)!r}, {name1}={float(value1)!r}) "
+            "warps to a non-finite pixel"
+        )
     return Dataset(images=images.reshape(len(meta), side * side), side=side, meta=meta)
 
 

@@ -123,7 +123,7 @@ def fista(gradient, init: np.ndarray, step: float, threshold: float, steps: int)
 
 
 def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
-                     step: float | None = None):
+                     step: float | None = None, projection: np.ndarray | None = None):
     """Run the full inference loop for a batch of images at once.
 
     Works only on the 2L basis coefficients v = B^T x of the images and
@@ -145,7 +145,9 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
     deterministic realization of per-image parallelism: every reduction
     happens in a fixed order. ``step`` is the FISTA step size, a function
     of the model alone (``fista_step_size``); callers that split one batch
-    into chunks compute it once and pass it to each.
+    into chunks compute it once and pass it to each. ``projection``, a
+    C-contiguous (B, 2L) float array, receives v = X B when given, so
+    that a caller can reuse it.
     """
     images = np.atleast_2d(np.asarray(images, dtype=float))
     if images.shape[1] != model.basis.shape[0]:
@@ -153,7 +155,7 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
     n_grid = cfg.grid_size if n_grid is None else n_grid
     exact = cfg.grad_mode == "exact"
     tables = grid_tables(model.freq, n_grid)
-    v = _fold(images @ model.basis, tables)
+    v = _fold(np.matmul(images, model.basis, out=projection), tables)
     images_coeff = v.view(float)
     coupling = _fold((model.basis.T @ model.dictionary).T, tables).view(float).T
     eta_prior = _fold(natural_params(model.prior), tables).view(float)

@@ -192,7 +192,7 @@ def basis_gradient(image, code, model, rbar, mode="approximate", grid=None):
     return _gradients_at(image, code, model, rbar, mode, grid)[1]
 
 
-def _batch_gradients(images, codes, model, rbar, exact):
+def _batch_gradients(images, codes, model, rbar, exact, v=None):
     """Batch-mean training gradients, built in the 2L coefficient space:
     (dictionary gradient, basis term H, mean squared residual).
 
@@ -203,12 +203,13 @@ def _batch_gradients(images, codes, model, rbar, exact):
     basis gradient without its -B S term, S symmetric ((R u)^T (R u), or
     the second moment of R u in exact mode); B S is normal to the manifold,
     so H has the ambient gradient's tangent part. As B^T B = I, the squared
-    residual |x - B R u|^2 is |x|^2 - 2 v . R u + |R u|^2.
+    residual |x - B R u|^2 is |x|^2 - 2 v . R u + |R u|^2. ``v`` is the
+    projection X B when the caller already holds it.
     """
     rc, rs = rbar[:, 0::2], rbar[:, 1::2]
     coupling = model.basis.T @ model.dictionary
     u = codes @ coupling.T
-    v = images @ model.basis
+    v = images @ model.basis if v is None else v
     ru = rotate_pairs(rc, rs, u)
     rho = 1.0 if exact else np.repeat(rc * rc + rs * rs, 2, axis=1)
     back = rotate_pairs(rc, rs, v, adjoint=True) - rho * u
@@ -262,22 +263,26 @@ def _check_threads(threads: int) -> None:
 
 
 def _infer_batch_threaded(images, model, cfg, threads: int,
-                          n_grid: Optional[int] = None):
+                          n_grid: Optional[int] = None, projection=None):
     """Chunked inference on up to ``threads`` threads, for training and
     evaluation alike; results are assembled in chunk order, so a given
-    chunking always reproduces the same bits regardless of scheduling."""
+    chunking always reproduces the same bits regardless of scheduling.
+    Each chunk writes its rows of v = X B into ``projection`` when given."""
     _check_threads(threads)
     n_grid = cfg.grid_size if n_grid is None else n_grid
     slices = _chunk_slices(images.shape[0], threads, n_grid**model.freq.n)
     step = fista_step_size(model)  # shared by every chunk
     if len(slices) == 1:
-        return infer_code_batch(images, model, cfg, n_grid=n_grid, step=step)
+        return infer_code_batch(images, model, cfg, n_grid=n_grid, step=step,
+                                projection=projection)
     from concurrent.futures import ThreadPoolExecutor
 
     _half_spectrum(model.freq, n_grid)  # build its tables once, before the chunks race
     with ThreadPoolExecutor(max_workers=max(1, min(threads, len(slices)))) as pool:
         parts = list(pool.map(
-            lambda sl: infer_code_batch(images[sl], model, cfg, n_grid=n_grid, step=step),
+            lambda sl: infer_code_batch(
+                images[sl], model, cfg, n_grid=n_grid, step=step,
+                projection=None if projection is None else projection[sl]),
             slices,
         ))
     codes = np.concatenate([p[0] for p in parts], axis=0)
@@ -366,9 +371,10 @@ def train(
 
     def batch_step(batch):
         nonlocal model, adam
-        codes, post = _infer_batch_threaded(batch, model, cfg, threads)
+        v = np.empty((batch.shape[0], model.basis.shape[1]))
+        codes, post = _infer_batch_threaded(batch, model, cfg, threads, projection=v)
         grad_d, grad_b, residual = _batch_gradients(
-            batch, codes, model, post.rbar, cfg.grad_mode == "exact")
+            batch, codes, model, post.rbar, cfg.grad_mode == "exact", v=v)
         new_dict = phi_update(model.dictionary, grad_d, cfg.lr_dict)
         adam, new_basis = riemannian_adam_step(adam, model.basis, grad_b)
         model = replace(model, dictionary=new_dict, basis=new_basis)

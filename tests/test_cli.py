@@ -3,11 +3,13 @@ import struct
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import torusparse as tp
+from torusparse import datasets
 from torusparse.cli import BLAS_THREAD_VARIABLES, _build_parser, main
 from torusparse.io import load_checkpoint_full, save_checkpoint
 
@@ -126,6 +128,63 @@ class TestGenData:
         err = capsys.readouterr().err
         assert "template 0 sample 0 (theta=" in err
         assert "scale=1e-300) warps to a non-finite pixel" in err
+        assert not out.exists()
+
+    def test_thread_counts_write_the_same_bytes(self, tmp_path, templates_idx):
+        """18 rotscale images of 8x8 in blocks of 8 (datasets.WARP_PIXELS
+        lowered to 512 pixels): three blocks, so two and three threads
+        split them; the CLI hands each --threads value to make_synthetic."""
+        blobs, seen = [], []
+
+        def spy(*args, threads):
+            seen.append(threads)
+            return datasets.make_synthetic(*args, threads=threads)
+
+        with mock.patch.object(datasets, "WARP_PIXELS", 512), \
+                mock.patch("torusparse.cli.make_synthetic", spy):
+            for threads in ("1", "2", "3"):
+                out = tmp_path / f"t{threads}.ds"
+                rc = main(["--threads", threads, "gen-data", "--kind", "rotscale",
+                           "--templates", str(templates_idx), "--count-per-template", "6",
+                           "--seed", "4", "--out", str(out)])
+                assert rc == 0
+                blobs.append(out.read_bytes())
+        assert seen == [1, 2, 3]
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_zero_threads_is_a_usage_error(self, tmp_path, templates_idx, capsys):
+        out = tmp_path / "out.ds"
+        rc = main(["--threads", "0", "gen-data", "--kind", "rotscale", "--templates",
+                   str(templates_idx), "--count-per-template", "2", "--seed", "0",
+                   "--out", str(out)])
+        assert rc == 1
+        assert "--threads must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_more_than_2_to_the_32_samples_is_exit_2(self, tmp_path, templates_idx,
+                                                     capsys):
+        out = tmp_path / "out.ds"
+        rc = main(["gen-data", "--kind", "translate2d", "--templates", str(templates_idx),
+                   "--count-per-template", str(2**32 + 1), "--seed", "0", "--out", str(out)])
+        assert rc == 2
+        assert "count_per_template 4294967297 exceeds 2**32" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_memory_is_exit_2_with_one_error_line(self, tmp_path, templates_idx,
+                                                          capsys, monkeypatch):
+        """The allocation is made to fail; nothing large is allocated."""
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 596. GiB for an array with shape "
+                              "(100000000, 28, 28) and data type float64")
+
+        monkeypatch.setattr(datasets, "_draw_parameters", refuse)
+        out = tmp_path / "out.ds"
+        rc = main(["gen-data", "--kind", "rotscale", "--templates", str(templates_idx),
+                   "--count-per-template", "100000000", "--seed", "0", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate 596. GiB")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
 

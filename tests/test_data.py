@@ -1,6 +1,7 @@
 import hashlib
 import re
 import struct
+import sys
 import tracemalloc
 
 from unittest import mock
@@ -382,6 +383,68 @@ class TestBatchedWarp:
         assert warp_translate(img, dx, dy, cyclic).tobytes() == want.tobytes()
         want = oracle_warp(img, "rotscale", theta, scale)
         assert warp_rot_scale(img, theta, scale).tobytes() == want.tobytes()
+
+
+class TestThreadedWarp:
+    @settings(max_examples=60, deadline=None)
+    @given(case=synthetic_cases(), per_block=st.integers(1, 7))
+    def test_bytes_do_not_depend_on_the_thread_count(self, case, per_block):
+        """Blocks of 1 to 7 images: several blocks per lane, so lanes
+        interleave and the last block is often short."""
+        templates, spec, seed, _ = case
+        side = templates[0].shape[0]
+        with mock.patch.object(datasets, "WARP_PIXELS", per_block * side * side):
+            runs = [make_synthetic(templates, spec, seed, threads=t) for t in (1, 2, 3)]
+        images, meta = oracle_synthetic(templates, spec, seed)
+        for ds in runs:
+            assert ds.meta.tobytes() == meta.tobytes()
+            assert ds.images.tobytes() == images.tobytes()
+
+    def test_many_threads_with_fast_switching_write_every_row_once(self):
+        """Eight threads, more than a small host has cores, switching every
+        microsecond over 61 one-image blocks: a lost or misplaced row
+        would change the bytes."""
+        templates = list(np.random.default_rng(12).uniform(0, 1, (1, 6, 6)))
+        spec = TransformSpec.rotscale(61)
+        want = make_synthetic(templates, spec, seed=8).images
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(datasets, "WARP_PIXELS", 36):
+                got = make_synthetic(templates, spec, seed=8, threads=8).images
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_lowest_bad_row_is_named_when_a_later_block_also_fails(self, threads):
+        """One image per block: templates 1 and 3 (rows 3-5 and 9-11) are
+        NaN, so every lane meets a bad block and the first one, row 3,
+        falls on lane 3 % threads."""
+        templates = [np.ones((4, 4)) for _ in range(4)]
+        templates[1][0, 0] = templates[3][3, 3] = np.nan
+        spec = TransformSpec("translate2d", ((0.0, 0.0), (0.0, 0.0)), 3)
+        with mock.patch.object(datasets, "WARP_PIXELS", 16), \
+                pytest.raises(ValueError, match=r"^template 1 sample 0 \(dx=0\.0, dy=0\.0\)"):
+            make_synthetic(templates, spec, seed=0, threads=threads)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_fewer_than_one_thread_is_refused_by_name(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            make_synthetic([np.ones((2, 2))], TransformSpec.rotscale(2), 0, threads=threads)
+
+
+class TestSampleCountLimit:
+    """Sample s is one uint32 SeedSequence entropy word, so 2**32 samples
+    per template is the most that keeps every sample's draws distinct.
+    Both edges are checked by construction only: nothing is generated."""
+
+    def test_two_to_the_32_samples_accepted(self):
+        assert TransformSpec.rotscale(2**32).count_per_template == 2**32
+
+    def test_one_more_is_refused_by_name(self):
+        with pytest.raises(ValueError, match=r"count_per_template 4294967297 exceeds 2\*\*32"):
+            TransformSpec.translate2d(2**32 + 1)
 
 
 class TestRangeChecks:

@@ -26,6 +26,7 @@ from torusparse.training import (
     _batch_gradients_approx,
     _batch_gradients_exact,
     _chunk_slices,
+    _infer_batch_threaded,
     basis_gradient,
     dictionary_gradient,
     init_model,
@@ -602,6 +603,27 @@ def test_exact_training_batch_runs_one_posterior_pass_per_chunk(monkeypatch):
     _, log = train(init_model(cfg, 0), data, cfg, threads=2)
     assert len(log) == 1
     assert calls == ["batch_posterior"] * len(chunks)
+
+
+def test_threaded_inference_hands_out_each_chunks_projection():
+    """The projection buffer holds each chunk's own v = X B, bit for bit,
+    and passing it changes neither the codes nor the posterior."""
+    cfg = tiny_config()
+    model = init_model(cfg, 2)
+    images = normalize_batch(tiny_dataset(seed=4, count=10).images)
+    v = np.empty((10, model.basis.shape[1]))
+    codes, post = _infer_batch_threaded(images, model, cfg, 3, projection=v)
+    want_codes, want_post = _infer_batch_threaded(images, model, cfg, 3)
+    assert codes.tobytes() == want_codes.tobytes()
+    assert post.rbar.tobytes() == want_post.rbar.tobytes()
+    slices = _chunk_slices(10, 3, cfg.grid_size**cfg.torus_dim)
+    assert len(slices) == 3
+    for sl in slices:
+        assert v[sl].tobytes() == (images[sl] @ model.basis).tobytes()
+    grads = _batch_gradients(images, codes, model, post.rbar, False, v=v)
+    want = _batch_gradients(images, codes, model, post.rbar, False)
+    np.testing.assert_allclose(grads[0], want[0], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grads[1], want[1], rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["approximate", "exact"])
