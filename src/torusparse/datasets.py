@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from .lanes import Lanes
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
@@ -354,8 +356,8 @@ def make_synthetic(templates, spec: TransformSpec, seed: int,
     np.random.SeedSequence([seed mod 2**64, t, s]); the meta rows hold
     them. All samples' draws run as one vectorised pass over blocks of
     DRAW_SAMPLES samples. The images are then warped in blocks of
-    WARP_PIXELS output pixels, dealt round-robin to up to ``threads``
-    threads, the calling one among them. Each block writes its own rows
+    WARP_PIXELS output pixels, shared out to ``threads`` lanes, the
+    calling thread among them. Each block writes its own rows
     of the result, so the bytes do not depend on the thread count. Raises
     ValueError naming the first sample whose warp has a non-finite pixel,
     whichever thread warped it.
@@ -386,21 +388,8 @@ def make_synthetic(templates, spec: TransformSpec, seed: int,
                              out=images[start:stop])
         return np.isfinite(images[start:stop]).reshape(stop - start, -1).all(axis=1)
 
-    starts = range(0, len(meta), block)
-    lanes = min(threads, len(starts))
-
-    def warp_lane(lane):
-        """Blocks lane, lane + lanes, ... in order; their finite flags."""
-        return [warp(start) for start in starts[lane::lanes]]
-
-    from concurrent.futures import ThreadPoolExecutor  # not at the top: slow to import
-
-    # The calling thread warps lane 0 itself: one thread fewer holds its
-    # own allocator arena of block temporaries.
-    with ThreadPoolExecutor(max_workers=max(1, lanes - 1)) as pool:
-        others = pool.map(warp_lane, range(1, lanes))
-        parts = [warp_lane(0), *others]
-    finite = np.concatenate([parts[k % lanes][k // lanes] for k in range(len(starts))])
+    with Lanes(threads) as lanes:
+        finite = np.concatenate(lanes.map(warp, range(0, len(meta), block)))
     if not finite.all():
         row = int(np.argmin(finite))
         (name0, name1), (value0, value1) = PARAMETER_NAMES[spec.kind], meta[row]

@@ -10,7 +10,7 @@ import numpy as np
 from .datasets import Dataset
 from .inference import infer_code
 from .posterior import map_estimate, map_estimate_batch
-from .torus import apply_transform, rotate_pairs
+from .torus import apply_transform, rotate_coeffs, rotate_pairs
 from .training import _infer_batch_threaded
 
 EVAL_GRID_SIZE = 100
@@ -91,13 +91,17 @@ def latent_traversal(model, images, dim: int, s_from: float, s_to: float,
     if steps < 2:
         raise ValueError("steps must be >= 2")
     images = np.atleast_2d(np.asarray(images, dtype=float))
-    op = model.operator()
+    if images.shape[-1] != model.dim:
+        raise ValueError(f"expected vectors of length {model.dim}, got {images.shape[-1]}")
+    # apply_transform's body on the basis as it is: the model was validated
+    # when it was built or loaded, so no TorusOperator checks it again
+    coeffs = images @ model.basis
     values = np.linspace(s_from, s_to, steps)
     out = np.empty((images.shape[0], steps, images.shape[1]))
     for j, val in enumerate(values):
         s = np.zeros(model.freq.n)
         s[dim - 1] = val
-        out[:, j, :] = apply_transform(op, s, images)
+        out[:, j, :] = rotate_coeffs(model.freq, s, coeffs) @ model.basis.T
     return out
 
 

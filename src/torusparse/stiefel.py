@@ -11,32 +11,75 @@ and gets plain projected gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
+
+from .lanes import Lanes, run, split
 
 QR_ORTHONORMALITY_TOL = 1e-12
 # Largest triangle _invert_lower hands to np.linalg.inv whole.
 TRI_INV_LEAF = 32
 
 
-def tangent_project(point: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """Project an ambient gradient onto the tangent space at a Stiefel point."""
+def tangent_project(point: np.ndarray, grad: np.ndarray,
+                    lanes: Optional[Lanes] = None) -> np.ndarray:
+    """Project an ambient gradient onto the tangent space at a Stiefel point.
+
+    With ``lanes``, B^T G is formed in blocks of its rows and
+    B (B^T G + G^T B) / 2 in blocks of rows, run on the lanes."""
     if grad.shape != point.shape:
         raise ValueError(f"gradient shape {grad.shape} != point shape {point.shape}")
-    inner = point.T @ grad
+    width = point.shape[1]
+    inner = np.empty((width, width))
+    run(lanes, lambda c: np.matmul(point[:, c].T, grad, out=inner[c]),
+        split(width, lanes))
     inner += inner.T
     inner *= 0.5
-    normal = point @ inner
-    return np.subtract(grad, normal, out=normal)
+    normal = np.empty(grad.shape)
+
+    def rows(r):
+        np.matmul(point[r], inner, out=normal[r])
+        np.subtract(grad[r], normal[r], out=normal[r])
+
+    run(lanes, rows, split(point.shape[0], lanes))
+    return normal
+
+
+def _identity_error(gram: np.ndarray) -> float:
+    """max |G - I|, formed in place in ``gram``."""
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    return float(np.abs(gram, out=gram).max())
 
 
 def orthonormality_error(q: np.ndarray) -> float:
     """max |Q^T Q - I|, formed in place in the Gram matrix. NaN when Q
     holds NaN; a huge finite Q overflows to inf or NaN without a warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = q.T @ q
-        gram.flat[:: gram.shape[0] + 1] -= 1.0
-        return float(np.abs(gram, out=gram).max())
+        return _identity_error(q.T @ q)
+
+
+def _split_gram(a: np.ndarray, lanes: Lanes) -> np.ndarray:
+    """A^T A in a fixed 2 x 2 form over the two column halves of A: one
+    block forms the two diagonal Gram blocks, the other the off-diagonal
+    block and its mirror, so the bytes are the same at every thread count.
+    A huge finite A overflows to inf or NaN without a warning."""
+    width = a.shape[1]
+    h = (width + 1) // 2
+    left, right = a[:, :h], a[:, h:]
+    gram = np.empty((width, width))
+
+    def block(diagonal):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if diagonal:
+                np.matmul(left.T, left, out=gram[:h, :h])
+                np.matmul(right.T, right, out=gram[h:, h:])
+            else:
+                np.matmul(left.T, right, out=gram[:h, h:])
+                np.copyto(gram[h:, :h], gram[:h, h:].T)
+
+    lanes.map(block, (True, False))
+    return gram
 
 
 def _invert_lower(low: np.ndarray) -> np.ndarray:
@@ -58,7 +101,7 @@ def _invert_lower(low: np.ndarray) -> np.ndarray:
     return out
 
 
-def positive_qr(y: np.ndarray):
+def positive_qr(y: np.ndarray, lanes: Optional[Lanes] = None):
     """Q factor and R diagonal of the QR factorization of ``y`` whose R
     diagonal is positive.
 
@@ -68,11 +111,21 @@ def positive_qr(y: np.ndarray):
     factorization fails or Q misses orthonormality by more than
     QR_ORTHONORMALITY_TOL (Y too ill-conditioned), Householder QR with the
     diagonal signs fixed is used instead (Fukaya et al. 2014, CholeskyQR2).
+    With ``lanes``, Y^T Y and the Q^T Q check take ``_split_gram``'s form
+    and Y chol^-T is formed in blocks of rows, run on the lanes; the
+    Cholesky factor and its inverse stay on the calling thread.
     """
     try:
-        chol = np.linalg.cholesky(y.T @ y)
-        q = y @ _invert_lower(chol).T
-        if orthonormality_error(q) <= QR_ORTHONORMALITY_TOL:
+        chol = np.linalg.cholesky(y.T @ y if lanes is None else _split_gram(y, lanes))
+        inverse_t = _invert_lower(chol).T
+        q = np.empty(y.shape)
+        run(lanes, lambda r: np.matmul(y[r], inverse_t, out=q[r]),
+            split(y.shape[0], lanes))
+        if lanes is None:
+            error = orthonormality_error(q)
+        else:
+            error = _identity_error(_split_gram(q, lanes))
+        if error <= QR_ORTHONORMALITY_TOL:
             return q, np.diag(chol)
     except np.linalg.LinAlgError:
         pass
@@ -81,11 +134,12 @@ def positive_qr(y: np.ndarray):
     return q * np.sign(diag), np.abs(diag)
 
 
-def retract(point: np.ndarray, step: np.ndarray) -> np.ndarray:
+def retract(point: np.ndarray, step: np.ndarray,
+            lanes: Optional[Lanes] = None) -> np.ndarray:
     """QR retraction of point + step, with the R diagonal forced positive."""
     if step.shape != point.shape:
         raise ValueError(f"step shape {step.shape} != point shape {point.shape}")
-    q, diag = positive_qr(point + step)
+    q, diag = positive_qr(point + step, lanes)
     scale = max(point.max(), -point.min()) + max(step.max(), -step.min())
     if np.any(diag < 1e-12 * max(scale, 1.0)):
         raise np.linalg.LinAlgError("rank-deficient retraction input")
@@ -110,7 +164,8 @@ class StiefelAdamState:
 
 
 def riemannian_adam_step(
-    state: StiefelAdamState, point: np.ndarray, grad: np.ndarray
+    state: StiefelAdamState, point: np.ndarray, grad: np.ndarray,
+    lanes: Optional[Lanes] = None,
 ):
     """One ascent step on the manifold; returns (new state, new point).
 
@@ -120,34 +175,45 @@ def riemannian_adam_step(
     moments produce the step, the step is retracted, and the first moment
     is re-projected at the new point so stale normal components never
     accumulate. The moment arithmetic runs in the order of the textbook
-    formulas, through reused buffers; the input state is not modified.
+    formulas, through buffers allocated here; the input state is not
+    modified. With ``lanes``, the projections, the moments and the
+    retraction run in blocks on the lanes; the blocks, and so the bits,
+    do not depend on the number of lanes.
     """
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite basis gradient")
-    tangent = tangent_project(point, grad)
+    tangent = tangent_project(point, grad, lanes)
     count = state.step_count + 1
-    scratch = np.multiply(tangent, 1.0 - state.beta1)
-    m1 = np.multiply(state.m1, state.beta1)
-    m1 += scratch
-    np.multiply(tangent, 1.0 - state.beta2, out=scratch)
-    scratch *= tangent
-    m2 = np.multiply(state.m2, state.beta2)
-    m2 += scratch
-    # step = lr * m1_hat / (sqrt(m2_hat) + eps), the hats bias-corrected
-    step = np.divide(m1, 1.0 - state.beta1**count, out=scratch)
-    step *= state.lr
-    denom = np.divide(m2, 1.0 - state.beta2**count, out=tangent)
-    np.sqrt(denom, out=denom)
-    denom += state.eps
-    step /= denom
-    new_point = retract(point, step) if np.any(step) else point
+    b1, b2 = state.beta1, state.beta2
+    scratch, m1, m2 = (np.empty(point.shape) for _ in range(3))
+
+    def moments(r):
+        """Every elementwise op of the step on rows ``r``."""
+        np.multiply(tangent[r], 1.0 - b1, out=scratch[r])
+        np.multiply(state.m1[r], b1, out=m1[r])
+        m1[r] += scratch[r]
+        np.multiply(tangent[r], 1.0 - b2, out=scratch[r])
+        scratch[r] *= tangent[r]
+        np.multiply(state.m2[r], b2, out=m2[r])
+        m2[r] += scratch[r]
+        # step = lr * m1_hat / (sqrt(m2_hat) + eps), the hats bias-corrected
+        step = np.divide(m1[r], 1.0 - b1**count, out=scratch[r])
+        step *= state.lr
+        denom = np.divide(m2[r], 1.0 - b2**count, out=tangent[r])
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+
+    run(lanes, moments, split(point.shape[0], lanes))
+    step = scratch
+    new_point = retract(point, step, lanes) if np.any(step) else point
     new_state = StiefelAdamState(
-        m1=tangent_project(new_point, m1),
+        m1=tangent_project(new_point, m1, lanes),
         m2=m2,
         lr=state.lr,
         step_count=count,
-        beta1=state.beta1,
-        beta2=state.beta2,
+        beta1=b1,
+        beta2=b2,
         eps=state.eps,
     )
     return new_state, new_point

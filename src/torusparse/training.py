@@ -20,6 +20,7 @@ import numpy as np
 
 from .datasets import normalize_batch
 from .inference import fista, fista_step_size, infer_code_batch, spectral_norm
+from .lanes import Lanes, run, split
 from .posterior import BatchPosterior, TorusPrior, _half_spectrum, rotation_second_moment
 from .stiefel import StiefelAdamState, phi_update, positive_qr, riemannian_adam_step
 from .torus import (
@@ -192,7 +193,7 @@ def basis_gradient(image, code, model, rbar, mode="approximate", grid=None):
     return _gradients_at(image, code, model, rbar, mode, grid)[1]
 
 
-def _batch_gradients(images, codes, model, rbar, exact, v=None):
+def _batch_gradients(images, codes, model, rbar, exact, v=None, lanes=None):
     """Batch-mean training gradients, built in the 2L coefficient space:
     (dictionary gradient, basis term H, mean squared residual).
 
@@ -204,7 +205,8 @@ def _batch_gradients(images, codes, model, rbar, exact, v=None):
     the second moment of R u in exact mode); B S is normal to the manifold,
     so H has the ambient gradient's tangent part. As B^T B = I, the squared
     residual |x - B R u|^2 is |x|^2 - 2 v . R u + |R u|^2. ``v`` is the
-    projection X B when the caller already holds it.
+    projection X B when the caller already holds it. With ``lanes``, the D
+    rows of both gradients are formed in blocks on the lanes.
     """
     rc, rs = rbar[:, 0::2], rbar[:, 1::2]
     coupling = model.basis.T @ model.dictionary
@@ -214,12 +216,22 @@ def _batch_gradients(images, codes, model, rbar, exact, v=None):
     rho = 1.0 if exact else np.repeat(rc * rc + rs * rs, 2, axis=1)
     back = rotate_pairs(rc, rs, v, adjoint=True) - rho * u
     coef = codes.T @ back
-    b = images.shape[0]
-    scale = b * model.noise_var
-    grad_dict = model.basis @ coef.T / scale
-    grad_basis = (images.T @ ru + model.dictionary @ coef) / scale
+    scale = images.shape[0] * model.noise_var
+    # H = [X; Phi^T]^T [R u; coef], one product per block of rows
+    stacked = np.concatenate([images, model.dictionary.T])
+    weights = np.concatenate([ru, coef])
+    grad_dict = np.empty(model.dictionary.shape)
+    grad_basis = np.empty(model.basis.shape)
+
+    def rows(r):
+        np.matmul(model.basis[r], coef.T, out=grad_dict[r])
+        grad_dict[r] /= scale
+        np.matmul(stacked[:, r].T, weights, out=grad_basis[r])
+        grad_basis[r] /= scale
+
+    run(lanes, rows, split(model.dim, lanes))
     sq_residual = np.vdot(images, images) - 2.0 * np.vdot(v, ru) + np.vdot(ru, ru)
-    return grad_dict, grad_basis, float(sq_residual / b)
+    return grad_dict, grad_basis, float(sq_residual / images.shape[0])
 
 
 def _batch_gradients_approx(images, codes, model, rbar):
@@ -359,14 +371,16 @@ def train(
     Each batch's gradients come from ``_batch_gradients``. The basis moves
     along its term H, which has the ambient gradient's tangent part, the
     only part Riemannian Adam uses; so exact mode needs no second
-    posterior pass and no rotation second moment.
+    posterior pass and no rotation second moment. Inference runs in
+    chunks on up to ``threads`` threads; the gradients and the Stiefel
+    step run in fixed blocks on one set of ``threads`` lanes, open for
+    the whole run, so their bits do not depend on ``threads``.
 
     Log records are (epoch, batch, mean squared residual, mean code L1,
     seconds); with ``log_path`` they are also appended to disk as
     tab-separated lines.
     """
     cfg.validate()
-    _check_threads(threads)
     adam = StiefelAdamState.init(model.basis.shape, cfg.lr_basis)
 
     def batch_step(batch):
@@ -374,14 +388,15 @@ def train(
         v = np.empty((batch.shape[0], model.basis.shape[1]))
         codes, post = _infer_batch_threaded(batch, model, cfg, threads, projection=v)
         grad_d, grad_b, residual = _batch_gradients(
-            batch, codes, model, post.rbar, cfg.grad_mode == "exact", v=v)
+            batch, codes, model, post.rbar, cfg.grad_mode == "exact", v=v, lanes=lanes)
         new_dict = phi_update(model.dictionary, grad_d, cfg.lr_dict)
-        adam, new_basis = riemannian_adam_step(adam, model.basis, grad_b)
+        adam, new_basis = riemannian_adam_step(adam, model.basis, grad_b, lanes)
         model = replace(model, dictionary=new_dict, basis=new_basis)
         return residual, codes, (model.basis, model.dictionary)
 
-    log = _run_epochs(data, model.dim, cfg, [cfg.seed, 1], batch_step, "parameters",
-                      log_path)
+    with Lanes(threads) as lanes:
+        log = _run_epochs(data, model.dim, cfg, [cfg.seed, 1], batch_step,
+                          "parameters", log_path)
     return model, log
 
 

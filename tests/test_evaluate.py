@@ -13,7 +13,7 @@ from torusparse.evaluate import (
     reconstruct_batch,
     snr,
 )
-from torusparse.torus import TWO_PI
+from torusparse.torus import TWO_PI, apply_transform
 from torusparse.training import _chunk_slices
 
 from conftest import bandlimit, dft_shift_operator, small_model
@@ -360,6 +360,34 @@ def test_reconstruct_batch_runs_no_gram_check(monkeypatch):
     monkeypatch.setattr(stiefel, "orthonormality_error", counted)
     reconstruct_batch(images[:4], model, cfg)
     assert calls == []
+
+
+def test_latent_traversal_runs_no_gram_check(monkeypatch):
+    # as reconstruct_batch: the model was validated when it was built or
+    # loaded, and the sweep is apply_transform's arithmetic, bit for bit
+    from torusparse import stiefel, torus
+
+    model, _, images = cap_chunked_case()
+    calls = []
+    check = stiefel.orthonormality_error
+
+    def counted(basis):
+        calls.append(basis.shape)
+        return check(basis)
+
+    want = np.stack([apply_transform(model.operator(), (0.0, a), images[:3])
+                     for a in np.linspace(-1.0, 2.0, 4)], axis=1)
+    monkeypatch.setattr(torus, "orthonormality_error", counted)
+    monkeypatch.setattr(stiefel, "orthonormality_error", counted)
+    sweep = latent_traversal(model, images[:3], 2, -1.0, 2.0, 4)
+    assert calls == []
+    assert sweep.tobytes() == want.tobytes()
+
+
+def test_latent_traversal_names_a_length_mismatch():
+    model = small_model(7, n=2)
+    with pytest.raises(ValueError, match="length 12, got 10"):
+        latent_traversal(model, np.ones((1, 10)), 1, 0, 1, 2)
 
 
 @pytest.mark.parametrize("threads", [0, -3])
