@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lanes import Lanes
+from .lanes import Lanes, check_threads
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -117,6 +117,8 @@ def load_idx_images(path) -> Dataset:
         raise IdxFormatError(f"trailing bytes after offset {expected}")
     if rows != cols:
         raise IdxFormatError(f"images must be square, got {rows}x{cols}")
+    if rows == 0:
+        raise IdxFormatError("images must be at least 1x1, got 0x0")
     pixels = np.frombuffer(blob, dtype=np.uint8, offset=16).astype(float)
     pixels /= 255.0  # in place: one float array, not two
     return Dataset(images=pixels.reshape(count, rows * cols), side=rows)
@@ -362,14 +364,15 @@ def make_synthetic(templates, spec: TransformSpec, seed: int,
     ValueError naming the first sample whose warp has a non-finite pixel,
     whichever thread warped it.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_threads(threads)  # before the draws, which a huge count makes large
     templates = [np.asarray(t, dtype=float) for t in templates]
     if not templates:
         raise ValueError("need at least one template")
     side = templates[0].shape[0]
     if any(t.shape != (side, side) for t in templates):
         raise ValueError("all templates must share one square shape")
+    if side == 0:
+        raise ValueError("templates must be at least 1x1, got 0x0")
     count = spec.count_per_template
     meta = _draw_parameters(seed, len(templates), count, spec.ranges)
 

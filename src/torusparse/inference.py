@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .posterior import (
+    _blocks,
     _fold,
     _half_spectrum,
     _unfold,
@@ -24,35 +25,15 @@ from .posterior import (
     posterior_grid,
     posterior_pass,
 )
-from .torus import rotate_pairs
-
-POWER_ITERATIONS = 300
-POWER_TOL = 1e-10
 
 
 def spectral_norm(mat: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Deterministic all-ones start; Rayleigh quotient estimate, iterating
-    until the relative change drops below POWER_TOL (hard cap
-    POWER_ITERATIONS, only reached for near-degenerate spectra where the
-    estimate is accurate anyway).
-    """
-    k = mat.shape[0]
-    v = np.full(k, 1.0 / math.sqrt(k))
-    lam = 0.0
-    for _ in range(POWER_ITERATIONS):
-        w = mat @ v
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        new_lam = float(v @ w)
-        v = w / nrm
-        if abs(new_lam - lam) <= POWER_TOL * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    return lam
+    """Largest eigenvalue of a symmetric matrix (LAPACK ``eigvalsh``, which
+    reads its lower triangle); NaN when ``mat`` holds a non-finite entry,
+    which LAPACK would refuse."""
+    if not np.isfinite(mat).all():
+        return math.nan
+    return float(np.linalg.eigvalsh(mat)[-1])
 
 
 def fista_step_size(model) -> float:
@@ -76,6 +57,20 @@ def prox_exponential(x: np.ndarray, threshold: float) -> np.ndarray:
     return np.maximum(x - threshold, 0.0)
 
 
+def _ascent_residual(v, u, rbar, exact: bool) -> np.ndarray:
+    """The ascent residual on complex blocks, the one kernel of every code
+    and training gradient: conj(rbar) v - u in ``exact`` mode, else
+    conj(rbar) (v - rbar u), for the coefficients v of the images, u of
+    the coded templates and rbar of the expected rotation. Per block these
+    are R^T v - u and R^T v - rho u, rho = |rbar|^2, since R^T R = rho I on
+    a block. The formula is the same in block order and in a grid table's
+    half-spectrum frame (``posterior._fold``). Operand order is kept as
+    written: numpy's complex product may round a * b and b * a apart."""
+    if exact:
+        return rbar.conj() * v - u
+    return (v - rbar * u) * rbar.conj()
+
+
 def code_gradient(
     image: np.ndarray, code: np.ndarray, model, rbar: np.ndarray,
     mode: str = "approximate",
@@ -85,7 +80,8 @@ def code_gradient(
     ``exact`` differentiates the marginal log-likelihood; ``approximate``
     pushes the expected residual through the expected transform, which
     coincides with the exact form whenever the posterior is a point mass.
-    The sparsity drift is deliberately absent: it lives in the prox.
+    The sparsity drift is deliberately absent: it lives in the prox. A
+    1-image call of ``_ascent_residual``, as FISTA runs it.
     """
     image = np.asarray(image, dtype=float)
     code = np.asarray(code, dtype=float)
@@ -94,17 +90,11 @@ def code_gradient(
         raise ValueError("code length does not match dictionary size")
     if image.shape[-1] != model.basis.shape[0]:
         raise ValueError("image length does not match model dimension")
-    u = code @ coupling.T
-    v = image @ model.basis
-    rc, rs = rbar[..., 0::2], rbar[..., 1::2]
-    if mode == "exact":
-        back = rotate_pairs(rc, rs, v, adjoint=True) - u
-        return (back @ coupling) / model.noise_var
-    if mode == "approximate":
-        residual = image - rotate_pairs(rc, rs, u) @ model.basis.T
-        back = rotate_pairs(rc, rs, residual @ model.basis, adjoint=True)
-        return (back @ coupling) / model.noise_var
-    raise ValueError(f"unknown gradient mode {mode!r}")
+    if mode not in ("exact", "approximate"):
+        raise ValueError(f"unknown gradient mode {mode!r}")
+    back = _ascent_residual(_blocks(image @ model.basis), _blocks(code @ coupling.T),
+                            _blocks(rbar), mode == "exact")
+    return (back.view(float) @ coupling) / model.noise_var
 
 
 def fista(gradient, init: np.ndarray, step: float, threshold: float, steps: int):
@@ -129,10 +119,7 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
     Works only on the 2L basis coefficients v = B^T x of the images and
     u = B^T Phi a of the coded templates. Because B^T B = I, the
     approximate ascent residual R^T B^T (x - B R u) equals R^T v - rho * u,
-    with R the expected rotation and rho_l = |r_l|^2 = c_l^2 + s_l^2 the
-    squared length of its block l (R^T R is rho_l times the identity on
-    each block). Read as complex numbers per block, that is
-    conj(r) (v - r u); the exact residual is R^T v - u = conj(r) v - u.
+    with R the expected rotation: ``_ascent_residual``.
 
     v, C = B^T Phi and the prior's eta are mapped once per call into the
     half-spectrum frame of the grid table (``posterior._fold``), so the
@@ -165,15 +152,7 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
 
     def ascent(codes):
         u, *_, rbar = posterior_pass(images_coeff, codes, *problem)
-        u, rbar = u.view(complex), rbar.view(complex)
-        if exact:
-            back = rbar.conj()
-            back *= v
-            back -= u
-        else:
-            back = rbar * u
-            np.subtract(v, back, out=back)
-            back *= rbar.conj()
+        back = _ascent_residual(v, u.view(complex), rbar.view(complex), exact)
         return back.view(float) @ scaled
 
     step = fista_step_size(model) if step is None else step

@@ -18,13 +18,18 @@ from typing import Optional
 SPLIT_BLOCKS = 4
 
 
+def check_threads(threads: int) -> None:
+    """The one rule for a thread count: ValueError below 1."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 class Lanes:
     """The calling thread plus ``threads - 1`` pool threads; close it, or
     use it in a ``with`` block, to join the pool threads."""
 
     def __init__(self, threads: int):
-        if threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
+        check_threads(threads)
         self.threads = threads
         self._pool = None
         if threads > 1:

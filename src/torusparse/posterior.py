@@ -148,12 +148,18 @@ def _split(tables: tuple) -> tuple:
     return (tables[:n], *tables[n:n + 5], tables[n + 5:])
 
 
+def _blocks(pairs: np.ndarray) -> np.ndarray:
+    """Interleaved (..., 2L) (cos, sin) pairs read as complex (..., L)
+    blocks: a view when ``pairs`` is a C-contiguous float array."""
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)
+
+
 def _fold(pairs: np.ndarray, tables: tuple) -> np.ndarray:
     """Interleaved (..., 2L) pairs as complex (..., L) blocks in the table's
     half-spectrum frame: gathered into cell order, folded blocks conjugated.
     An identity fold returns a view of ``pairs``."""
     _, _, sign, order, _, _, _ = _split(tables)
-    blocks = np.ascontiguousarray(pairs).view(complex)
+    blocks = _blocks(pairs)
     if order.size:
         blocks = np.take(blocks, order, axis=-1)
         blocks.imag *= sign[order]
@@ -254,7 +260,7 @@ def rotation_second_moment(u: np.ndarray, weights: np.ndarray,
     L, e = freq.L, freq.entries
     pairs = np.concatenate([e[:, None] - e[None], e[:, None] + e[None]])
     tables = grid_tables(FrequencyTable(freq.n, pairs.reshape(-1, freq.n), 1), N)
-    w = np.ascontiguousarray(u).view(complex)
+    w = _blocks(u)
     p_q = 0.0
     for rows in (slice(a, a + MOMENT_ROWS) for a in range(0, w.shape[0], MOMENT_ROWS)):
         phi = grid_expectation(weights[rows], tables).view(complex).reshape(-1, 2, L, L)
@@ -303,13 +309,10 @@ def posterior_natural_params(
 def _eta_from_coefficients(u, v, eta_prior, noise_var):
     """eta_prior + conj(u) v / noise_var, with each interleaved (cos, sin)
     pair of u, v and eta_prior read as one complex number."""
-    def pairs(x):
-        return np.ascontiguousarray(x).view(complex)
-
-    eta = np.conjugate(pairs(u))
-    eta *= pairs(v)
+    eta = np.conjugate(_blocks(u))
+    eta *= _blocks(v)
     eta /= noise_var
-    eta += pairs(eta_prior)
+    eta += _blocks(eta_prior)
     return eta.view(float)
 
 

@@ -19,9 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .datasets import normalize_batch
-from .inference import fista, fista_step_size, infer_code_batch, spectral_norm
-from .lanes import Lanes, run, split
-from .posterior import BatchPosterior, TorusPrior, _half_spectrum, rotation_second_moment
+from .inference import (_ascent_residual, fista, fista_step_size, infer_code_batch,
+                        spectral_norm)
+from .lanes import Lanes, check_threads, run, split
+from .posterior import (BatchPosterior, TorusPrior, _blocks, _half_spectrum,
+                        rotation_second_moment)
 from .stiefel import StiefelAdamState, phi_update, positive_qr, riemannian_adam_step
 from .torus import (
     FrequencyTable,
@@ -29,7 +31,6 @@ from .torus import (
     check_basis_shape,
     check_orthonormal,
     frequency_table_auto,
-    rotate_pairs,
     validate_frequency_table,
 )
 
@@ -197,25 +198,23 @@ def _batch_gradients(images, codes, model, rbar, exact, v=None, lanes=None):
     """Batch-mean training gradients, built in the 2L coefficient space:
     (dictionary gradient, basis term H, mean squared residual).
 
-    With v = X B, u = codes C^T (C = B^T Phi) and the FISTA ascent's back =
-    R^T v - rho u (rho = |r_l|^2 per block; 1 in ``exact`` mode, where
-    E[R^T R] = I), the dictionary gradient is B (codes^T back)^T and H =
-    X^T (R u) + Phi (codes^T back), both over b sigma^2. H is the ambient
-    basis gradient without its -B S term, S symmetric ((R u)^T (R u), or
-    the second moment of R u in exact mode); B S is normal to the manifold,
-    so H has the ambient gradient's tangent part. As B^T B = I, the squared
-    residual |x - B R u|^2 is |x|^2 - 2 v . R u + |R u|^2. ``v`` is the
-    projection X B when the caller already holds it. With ``lanes``, the D
-    rows of both gradients are formed in blocks on the lanes.
+    With v = X B, u = codes C^T (C = B^T Phi) and FISTA's ascent residual
+    back = R^T v - rho u (``_ascent_residual``; rho = |r_l|^2 per block, 1
+    in ``exact`` mode, where E[R^T R] = I), the dictionary gradient is
+    B (codes^T back)^T and H = X^T (R u) + Phi (codes^T back), both over
+    b sigma^2. H is the ambient basis gradient without its -B S term, S
+    symmetric ((R u)^T (R u), or the second moment of R u in exact mode);
+    B S is normal to the manifold, so H has the ambient gradient's tangent
+    part. As B^T B = I, the squared residual |x - B R u|^2 is |x|^2 -
+    2 v . R u + |R u|^2. ``v`` is the projection X B when the caller
+    already holds it. With ``lanes``, the D rows of both gradients are
+    formed in blocks on the lanes.
     """
-    rc, rs = rbar[:, 0::2], rbar[:, 1::2]
-    coupling = model.basis.T @ model.dictionary
-    u = codes @ coupling.T
+    rot = _blocks(rbar)
+    u = _blocks(codes @ (model.basis.T @ model.dictionary).T)
     v = images @ model.basis if v is None else v
-    ru = rotate_pairs(rc, rs, u)
-    rho = 1.0 if exact else np.repeat(rc * rc + rs * rs, 2, axis=1)
-    back = rotate_pairs(rc, rs, v, adjoint=True) - rho * u
-    coef = codes.T @ back
+    ru = (rot * u).view(float)
+    coef = codes.T @ _ascent_residual(_blocks(v), u, rot, exact).view(float)
     scale = images.shape[0] * model.noise_var
     # H = [X; Phi^T]^T [R u; coef], one product per block of rows
     stacked = np.concatenate([images, model.dictionary.T])
@@ -238,8 +237,8 @@ def _batch_gradients_approx(images, codes, model, rbar):
     """Batch-mean ambient approximate gradients: ``_batch_gradients`` with
     the normal term -B (R u)^T (R u) / (b sigma^2) added back to H."""
     grad_dict, grad_basis, residual = _batch_gradients(images, codes, model, rbar, False)
-    u = codes @ (model.basis.T @ model.dictionary).T
-    ru = rotate_pairs(rbar[:, 0::2], rbar[:, 1::2], u)
+    u = _blocks(codes @ (model.basis.T @ model.dictionary).T)
+    ru = (_blocks(rbar) * u).view(float)
     scale = images.shape[0] * model.noise_var
     return grad_dict, grad_basis - model.basis @ (ru.T @ ru) / scale, residual
 
@@ -269,18 +268,13 @@ def _chunk_slices(total: int, workers: int, grid_points: int):
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-
 def _infer_batch_threaded(images, model, cfg, threads: int,
                           n_grid: Optional[int] = None, projection=None):
     """Chunked inference on up to ``threads`` threads, for training and
     evaluation alike; results are assembled in chunk order, so a given
     chunking always reproduces the same bits regardless of scheduling.
     Each chunk writes its rows of v = X B into ``projection`` when given."""
-    _check_threads(threads)
+    check_threads(threads)
     n_grid = cfg.grid_size if n_grid is None else n_grid
     slices = _chunk_slices(images.shape[0], threads, n_grid**model.freq.n)
     step = fista_step_size(model)  # shared by every chunk
@@ -289,6 +283,12 @@ def _infer_batch_threaded(images, model, cfg, threads: int,
                                 projection=projection)
     from concurrent.futures import ThreadPoolExecutor
 
+    # The chunks run on pool threads while the calling thread only waits,
+    # not on ``Lanes``, where the caller would take a chunk too. Its own
+    # ``infer_code_batch`` call would then run at the same time as a pool
+    # thread's, and a profile that adds the calling thread's self time to
+    # the wall time pool threads cover (the benchmark's check that self
+    # time accounts for the wall time) would count that overlap twice.
     _half_spectrum(model.freq, n_grid)  # build its tables once, before the chunks race
     with ThreadPoolExecutor(max_workers=max(1, min(threads, len(slices)))) as pool:
         parts = list(pool.map(

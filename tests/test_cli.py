@@ -419,3 +419,15 @@ def test_fewer_than_one_thread_is_a_usage_error(capsys, value):
     rc = main(["--threads", value, "eval", "--ckpt", "m", "--data", "d"])
     assert rc == 1
     assert "--threads" in capsys.readouterr().err
+
+
+def test_gen_data_with_zero_by_zero_templates_is_exit_2(tmp_path, capsys):
+    templates = tmp_path / "empty.idx"
+    templates.write_bytes(struct.pack(">IIII", 0x00000803, 3, 0, 0))
+    out = tmp_path / "out.ds"
+    rc = main(["gen-data", "--kind", "rotscale", "--templates", str(templates),
+               "--count-per-template", "2", "--seed", "0", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: images must be at least 1x1, got 0x0\n"
+    assert not out.exists()

@@ -514,3 +514,19 @@ def test_dataset_shape_validation():
         Dataset(images=np.ones((3, 15)), side=4)
     with pytest.raises(ValueError):
         Dataset(images=np.ones((3, 16)), side=4, meta=np.ones((2, 2)))
+
+
+class TestEmptyTemplates:
+    """Templates of side 0 are refused by name, not by a division by zero
+    in the warp block size."""
+
+    def test_idx_of_zero_by_zero_images_is_a_format_error(self, tmp_path):
+        path = tmp_path / "empty.idx"
+        path.write_bytes(struct.pack(">IIII", 0x00000803, 3, 0, 0))
+        with pytest.raises(IdxFormatError, match="at least 1x1, got 0x0"):
+            load_idx_images(path)
+
+    def test_make_synthetic_refuses_side_zero(self):
+        spec = TransformSpec.translate2d(2)
+        with pytest.raises(ValueError, match="at least 1x1, got 0x0"):
+            make_synthetic([np.zeros((0, 0))] * 3, spec, seed=0)

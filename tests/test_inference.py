@@ -7,21 +7,27 @@ from hypothesis import given, settings, strategies as st
 
 import torusparse as tp
 from torusparse.inference import (
+    _ascent_residual,
     code_gradient,
     fista_step_size,
     infer_code,
     infer_code_batch,
     prox_exponential,
+    spectral_norm,
 )
 from torusparse import inference
 from torusparse.posterior import (
+    _blocks,
+    _fold,
+    _unfold,
     batch_posterior,
     expected_rotation,
+    grid_tables,
     log_likelihood,
     posterior_grid,
     posterior_natural_params,
 )
-from torusparse.torus import build_frequency_table
+from torusparse.torus import build_frequency_table, rotate_pairs
 
 from conftest import fold_tables, oracle_infer_code_batch, point_mass_grid, small_model
 
@@ -414,3 +420,73 @@ def test_half_spectrum_iterations_match_the_standard_frame_oracle(
     rows = np.arange(batch)
     tied = np.abs(weights[rows, peaks] - weights[rows, want]) <= 1e-12
     assert ((peaks == want) | tied).all()
+
+
+def oracle_code_gradient(image, code, model, rbar, mode):
+    """The D-space code gradient: the approximate form pushes the residual
+    image - B R u back through B and R^T, the exact form is R^T v - u."""
+    coupling = model.basis.T @ model.dictionary
+    u = code @ coupling.T
+    v = image @ model.basis
+    rc, rs = rbar[..., 0::2], rbar[..., 1::2]
+    if mode == "exact":
+        back = rotate_pairs(rc, rs, v, adjoint=True) - u
+    else:
+        residual = image - rotate_pairs(rc, rs, u) @ model.basis.T
+        back = rotate_pairs(rc, rs, residual @ model.basis, adjoint=True)
+    return (back @ coupling) / model.noise_var
+
+
+@settings(max_examples=60, deadline=None)
+@given(freq=fold_tables(), atoms=st.integers(1, 4), extra=st.integers(0, 6),
+       batch=st.integers(1, 4), noise_var=st.floats(0.01, 1.0),
+       mode=st.sampled_from(["approximate", "exact"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_code_gradient_matches_the_d_space_oracle(freq, atoms, extra, batch,
+                                                  noise_var, mode, seed):
+    rng = np.random.default_rng(seed)
+    d = 2 * freq.L + 2 * extra
+    dictionary = rng.uniform(size=(d, atoms))
+    dictionary /= np.linalg.norm(dictionary, axis=0)
+    model = tp.ModelParams(
+        basis=np.linalg.qr(rng.standard_normal((d, 2 * freq.L)))[0],
+        dictionary=dictionary, freq=freq, noise_var=noise_var, sparsity=0.2,
+        prior=tp.TorusPrior.uniform(freq.L),
+    )
+    images = rng.standard_normal((batch, d))
+    codes = rng.uniform(0, 2, (batch, atoms))
+    rbar = rng.uniform(-1, 1, (batch, 2 * freq.L))
+    got = code_gradient(images, codes, model, rbar, mode)
+    want = oracle_code_gradient(images, codes, model, rbar, mode)
+    assert got.shape == (batch, atoms)
+    # relative to the size of the terms, which may cancel in the gradient
+    coupling_norm = np.linalg.norm(model.basis.T @ model.dictionary, 2)
+    for i in range(batch):
+        terms = np.linalg.norm(images[i]) + np.linalg.norm(codes[i]) * coupling_norm
+        scale = terms * coupling_norm / noise_var
+        row = code_gradient(images[i], codes[i], model, rbar[i], mode)
+        assert row.shape == (atoms,)
+        assert np.abs(row - want[i]).max() <= 1e-12 * scale
+        assert np.abs(got[i] - row).max() <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(freq=fold_tables(), N=st.integers(2, 7), batch=st.integers(1, 3),
+       exact=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_ascent_residual_commutes_with_the_fold(freq, N, batch, exact, seed):
+    # the fold conjugates some blocks and reorders them all; conjugating
+    # v, u and rbar conjugates the residual, so unfolding gives the
+    # block-order result bit for bit
+    rng = np.random.default_rng(seed)
+    tables = grid_tables(freq, N)
+    v, u, rbar = rng.standard_normal((3, batch, 2 * freq.L))
+    want = _ascent_residual(_blocks(v), _blocks(u), _blocks(rbar), exact)
+    folded = _ascent_residual(_fold(v, tables), _fold(u, tables), _fold(rbar, tables),
+                              exact)
+    assert np.array_equal(_unfold(folded, tables), want.view(float))
+
+
+def test_spectral_norm_edge_cases():
+    assert spectral_norm(np.zeros((3, 3))) == 0.0
+    assert spectral_norm(np.diag([1.0, 3.0, 2.0])) == 3.0
+    assert math.isnan(spectral_norm(np.array([[1.0, 0.0], [0.0, np.inf]])))

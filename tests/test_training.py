@@ -683,3 +683,34 @@ def test_train_refuses_fewer_than_one_thread(tmp_path, threads):
         train(init_model(cfg, 0), tiny_dataset(), cfg, threads=threads,
               log_path=str(log))
     assert not log.exists()
+
+
+@pytest.mark.parametrize("threads, weight_cap", [(2, CHUNK_WEIGHTS), (1, 12 * 3)])
+def test_chunk_inference_never_runs_on_the_calling_thread(monkeypatch, threads,
+                                                          weight_cap):
+    """With two or more chunks the calling thread only waits: a chunk of
+    its own would overlap the pool threads' chunks in time. Each chunk
+    sleeps first, so that one thread cannot take every chunk before a
+    calling thread that shares them out would take one."""
+    import threading
+    import time
+
+    from torusparse import training
+
+    callers = []  # list.append is atomic across the chunk threads
+    inner = training.infer_code_batch
+
+    def spy(*args, **kwargs):
+        callers.append(threading.get_ident())
+        time.sleep(0.02)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(training, "infer_code_batch", spy)
+    monkeypatch.setattr(training, "CHUNK_WEIGHTS", weight_cap)
+    cfg = tiny_config()
+    images = normalize_batch(tiny_dataset(seed=6, count=8).images)
+    chunks = _chunk_slices(8, threads, cfg.grid_size**cfg.torus_dim)
+    assert len(chunks) >= 2
+    _infer_batch_threaded(images, init_model(cfg, 1), cfg, threads)
+    assert len(callers) == len(chunks)
+    assert threading.get_ident() not in callers
