@@ -1,7 +1,7 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 usage error, 2 data or validation error (out of
-memory included).
+Exit codes: 0 success, 1 usage error, 2 data or validation error (a file
+that cannot be read or written, and out of memory, included).
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import sys
 import numpy as np
 
 from .datasets import (
+    ROTSCALE_DEFAULT,
+    TRANSLATE_DEFAULT,
     Dataset,
-    IdxFormatError,
     TransformSpec,
     load_idx_images,
     make_synthetic,
@@ -105,6 +106,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--theta", type=float, nargs=2, metavar=("LO", "HI"),
                      help="rotation range in degrees")
     gen.add_argument("--scale", type=float, nargs=2, metavar=("LO", "HI"))
+    gen.set_defaults(run=_cmd_gen_data)
 
     for name in ("train", "baseline-train"):
         t = sub.add_parser(name)
@@ -112,16 +114,19 @@ def _build_parser() -> _Parser:
         t.add_argument("--data", required=True)
         t.add_argument("--out", required=True)
         t.add_argument("--epochs", type=int, default=None)
+        t.set_defaults(run=_cmd_train)
 
     ev = sub.add_parser("eval", help="print pooled reconstruction SNR")
     ev.add_argument("--ckpt", required=True)
     ev.add_argument("--data", required=True)
+    ev.set_defaults(run=_cmd_eval)
 
     rec = sub.add_parser("reconstruct")
     rec.add_argument("--ckpt", required=True)
     rec.add_argument("--data", required=True)
     rec.add_argument("--take", type=int, required=True)
     rec.add_argument("--out", required=True)
+    rec.set_defaults(run=_cmd_reconstruct)
 
     tr = sub.add_parser("traverse")
     tr.add_argument("--ckpt", required=True)
@@ -131,11 +136,13 @@ def _build_parser() -> _Parser:
     tr.add_argument("--to", dest="s_to", type=float, default=math.pi)
     tr.add_argument("--steps", type=int, required=True)
     tr.add_argument("--out", required=True)
+    tr.set_defaults(run=_cmd_traverse)
 
     ew = sub.add_parser("export-w", help="render basis columns as an image grid")
     ew.add_argument("--ckpt", required=True)
     ew.add_argument("--cols", type=int, required=True)
     ew.add_argument("--out", required=True)
+    ew.set_defaults(run=_cmd_export_w)
     return parser
 
 
@@ -147,34 +154,24 @@ def _load_dataset(path) -> Dataset:
 
 
 def _cmd_gen_data(args) -> int:
-    templates_ds = load_idx_images(args.templates)
-    templates = [img.reshape(templates_ds.side, templates_ds.side)
-                 for img in templates_ds.images]
+    templates = load_idx_images(args.templates)
     if args.kind == "translate2d":
-        spec = TransformSpec.translate2d(args.count_per_template, cyclic=args.cyclic)
-        ranges = list(spec.ranges)
-        if args.dx:
-            ranges[0] = tuple(args.dx)
-        if args.dy:
-            ranges[1] = tuple(args.dy)
-        spec = TransformSpec("translate2d", tuple(ranges), args.count_per_template,
-                             cyclic=args.cyclic)
+        defaults, flags = TRANSLATE_DEFAULT, (args.dx, args.dy)
     else:
-        spec = TransformSpec.rotscale(args.count_per_template)
-        ranges = list(spec.ranges)
-        if args.theta:
-            ranges[0] = (math.radians(args.theta[0]), math.radians(args.theta[1]))
-        if args.scale:
-            ranges[1] = tuple(args.scale)
-        spec = TransformSpec("rotscale", tuple(ranges), args.count_per_template)
-    dataset = make_synthetic(templates, spec, args.seed, threads=args.threads)
+        theta = args.theta and [math.radians(value) for value in args.theta]
+        defaults, flags = ROTSCALE_DEFAULT, (theta, args.scale)
+    ranges = tuple(tuple(flag) if flag else default
+                   for flag, default in zip(flags, defaults))
+    spec = TransformSpec(args.kind, ranges, args.count_per_template, cyclic=args.cyclic)
+    dataset = make_synthetic(templates.images.reshape(-1, templates.side, templates.side),
+                             spec, args.seed, threads=args.threads)
     save_checkpoint(_placeholder_model(dataset.images.shape[1]), args.out,
                     dataset=dataset)
     print(f"wrote {dataset.images.shape[0]} images to {args.out}")
     return 0
 
 
-def _cmd_train(args, baseline: bool) -> int:
+def _cmd_train(args) -> int:
     cfg = parse_config(args.config)
     if args.epochs is not None:
         cfg.epochs = args.epochs
@@ -185,8 +182,11 @@ def _cmd_train(args, baseline: bool) -> int:
             f"config D={cfg.image_dim} but dataset images have length "
             f"{dataset.images.shape[1]}"
         )
+    # refused here, not by save_checkpoint after the whole run
+    if os.path.isdir(args.out):
+        raise ValueError(f"--out {args.out} is a directory")
     log_path = args.out + ".log"
-    if baseline:
+    if args.command == "baseline-train":
         state, _ = train_baseline(dataset, cfg, log_path=log_path)
         model = baseline_model_params(state, cfg.noise_var, cfg.sparsity)
     else:
@@ -198,60 +198,55 @@ def _cmd_train(args, baseline: bool) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    contents = load_checkpoint_full(args.ckpt)
+def _reconstruct(args, take=None):
+    """Reconstruct the first ``take`` images of --data (all of them when
+    None) with the --ckpt model; returns (side, images, reconstructions),
+    the images normalised."""
+    model = load_checkpoint_full(args.ckpt).model
     dataset = _load_dataset(args.data)
-    images = normalize_batch(dataset.images)
-    cfg = TrainConfig(noise_var=contents.model.noise_var,
-                      sparsity=contents.model.sparsity)
-    recons = reconstruct_batch(images, contents.model, cfg, threads=args.threads)
+    if take is not None:
+        take = min(take, dataset.images.shape[0])
+        if take < 1:
+            raise ValueError("--take must select at least one image")
+    images = normalize_batch(dataset.images[:take])
+    cfg = TrainConfig(noise_var=model.noise_var, sparsity=model.sparsity)
+    return dataset.side, images, reconstruct_batch(images, model, cfg,
+                                                   threads=args.threads)
+
+
+def _export(tiles, side: int, cols: int, path) -> int:
+    """Write the rows of ``tiles`` as side x side tiles of a PGM grid."""
+    export_grid(np.reshape(tiles, (-1, side, side)), cols=cols, path=path)
+    print(f"wrote {path}")
+    return 0
+
+
+def _cmd_eval(args) -> int:
+    _, images, recons = _reconstruct(args)
     print(f"snr={snr(images, recons):.6g}")
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    contents = load_checkpoint_full(args.ckpt)
-    dataset = _load_dataset(args.data)
-    take = min(args.take, dataset.images.shape[0])
-    if take < 1:
-        raise ValueError("--take must select at least one image")
-    images = normalize_batch(dataset.images[:take])
-    cfg = TrainConfig(noise_var=contents.model.noise_var,
-                      sparsity=contents.model.sparsity)
-    recons = reconstruct_batch(images, contents.model, cfg, threads=args.threads)
-    side = dataset.side
-    tiles = [im.reshape(side, side) for im in images]
-    tiles += [r.image_hat.reshape(side, side) for r in recons]
-    export_grid(tiles, cols=take, path=args.out)
-    print(f"wrote {args.out}")
-    return 0
+    side, images, recons = _reconstruct(args, args.take)
+    hats = [r.image_hat for r in recons]
+    return _export(np.concatenate([images, hats]), side, len(images), args.out)
 
 
 def _cmd_traverse(args) -> int:
-    contents = load_checkpoint_full(args.ckpt)
+    model = load_checkpoint_full(args.ckpt).model
     dataset = _load_dataset(args.data)
-    count = min(5, dataset.images.shape[0])
-    images = normalize_batch(dataset.images[:count])
-    sweep = latent_traversal(contents.model, images, args.dim,
-                             args.s_from, args.s_to, args.steps)
-    side = dataset.side
-    tiles = [sweep[i, j].reshape(side, side)
-             for i in range(sweep.shape[0]) for j in range(sweep.shape[1])]
-    export_grid(tiles, cols=args.steps, path=args.out)
-    print(f"wrote {args.out}")
-    return 0
+    images = normalize_batch(dataset.images[:5])
+    sweep = latent_traversal(model, images, args.dim, args.s_from, args.s_to, args.steps)
+    return _export(sweep, dataset.side, args.steps, args.out)
 
 
 def _cmd_export_w(args) -> int:
-    contents = load_checkpoint_full(args.ckpt)
-    basis = contents.model.basis
+    basis = load_checkpoint_full(args.ckpt).model.basis
     side = int(round(basis.shape[0] ** 0.5))
     if side * side != basis.shape[0]:
         raise ValueError("basis rows do not form square images")
-    tiles = [basis[:, j].reshape(side, side) for j in range(basis.shape[1])]
-    export_grid(tiles, cols=args.cols, path=args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return _export(basis.T, side, args.cols, args.out)
 
 
 def main(argv=None) -> int:
@@ -265,26 +260,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        if args.command == "gen-data":
-            return _cmd_gen_data(args)
-        if args.command == "train":
-            return _cmd_train(args, baseline=False)
-        if args.command == "baseline-train":
-            return _cmd_train(args, baseline=True)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "reconstruct":
-            return _cmd_reconstruct(args)
-        if args.command == "traverse":
-            return _cmd_traverse(args)
-        if args.command == "export-w":
-            return _cmd_export_w(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CheckpointError, ConfigError, IdxFormatError, ValueError,
-            FileNotFoundError, RuntimeError, FloatingPointError) as exc:
+        return args.run(args)
+    # ValueError covers CheckpointError, ConfigError, IdxFormatError and
+    # LinAlgError; OSError covers files missing, unreadable or directories
+    except (ValueError, OSError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -20,6 +20,10 @@ from .lanes import Lanes, run, split
 QR_ORTHONORMALITY_TOL = 1e-12
 # Largest triangle _invert_lower hands to np.linalg.inv whole.
 TRI_INV_LEAF = 32
+# Adam's moment decay rates and the denominator's guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def tangent_project(point: np.ndarray, grad: np.ndarray,
@@ -154,9 +158,6 @@ class StiefelAdamState:
     m2: np.ndarray
     lr: float
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, shape, lr: float) -> "StiefelAdamState":
@@ -184,7 +185,7 @@ def riemannian_adam_step(
         raise FloatingPointError("non-finite basis gradient")
     tangent = tangent_project(point, grad, lanes)
     count = state.step_count + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     scratch, m1, m2 = (np.empty(point.shape) for _ in range(3))
 
     def moments(r):
@@ -201,7 +202,7 @@ def riemannian_adam_step(
         step *= state.lr
         denom = np.divide(m2[r], 1.0 - b2**count, out=tangent[r])
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         step /= denom
 
     run(lanes, moments, split(point.shape[0], lanes))
@@ -212,9 +213,6 @@ def riemannian_adam_step(
         m2=m2,
         lr=state.lr,
         step_count=count,
-        beta1=b1,
-        beta2=b2,
-        eps=state.eps,
     )
     return new_state, new_point
 

@@ -38,6 +38,9 @@ COLUMN_NORM_TOL = 1e-10
 # Most posterior weights (float64, 1 MB) one inference chunk may hold, so
 # that chunks running at the same time stay small in memory.
 CHUNK_WEIGHTS = 131072
+# Added to each baseline atom's mean squared activation before it divides
+# the atom's gradient, so a silent atom's step stays finite.
+BASELINE_EPS_REG = 0.001
 
 
 @dataclass(eq=False)
@@ -407,7 +410,6 @@ class BaselineState:
 
     dictionary: np.ndarray
     code_sq_history: deque = field(default_factory=lambda: deque(maxlen=300))
-    eps_reg: float = 0.001
 
 
 def _baseline_infer(images, dictionary, cfg):
@@ -445,7 +447,7 @@ def train_baseline(
         grad = residual.T @ codes / (batch.shape[0] * cfg.noise_var)
         state.code_sq_history.append(np.mean(codes * codes, axis=0))
         mean_sq = np.mean(np.stack(state.code_sq_history), axis=0)
-        scaled = grad / (mean_sq + state.eps_reg)
+        scaled = grad / (mean_sq + BASELINE_EPS_REG)
         state.dictionary = phi_update(state.dictionary, scaled, cfg.lr_dict)
         mean_sq_residual = float(np.mean(np.sum(residual * residual, axis=1)))
         return mean_sq_residual, codes, (state.dictionary,)

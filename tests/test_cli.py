@@ -1,3 +1,4 @@
+import math
 import os
 import struct
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import torusparse as tp
 from torusparse import datasets
-from torusparse.cli import BLAS_THREAD_VARIABLES, _build_parser, main
+from torusparse.cli import BLAS_THREAD_VARIABLES, _build_parser, _placeholder_model, main
 from torusparse.io import load_checkpoint_full, save_checkpoint
 
 from conftest import desk_templates, scalar_offsets
@@ -231,6 +232,52 @@ class TestExitCodes:
         assert "image 3" in err and "non-finite" in err
 
 
+class TestUnusableFiles:
+    """A path that cannot be read or written ends in one error line and exit
+    code 2, not a traceback."""
+
+    def test_eval_with_a_directory_checkpoint(self, tmp_path, deskaux, capsys):
+        _, data = deskaux
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(tmp_path), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
+    def test_gen_data_with_directory_templates(self, tmp_path, capsys):
+        out = tmp_path / "out.ds"
+        rc = main(["gen-data", "--kind", "rotscale", "--templates", str(tmp_path),
+                   "--count-per-template", "2", "--seed", "0", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_gen_data_into_a_directory(self, tmp_path, templates_idx, capsys):
+        rc = main(["gen-data", "--kind", "rotscale", "--templates", str(templates_idx),
+                   "--count-per-template", "2", "--seed", "0", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(tmp_path) in err
+
+    @pytest.mark.parametrize("command", ["train", "baseline-train"])
+    def test_train_into_a_directory_is_refused_before_training(
+            self, tmp_path, deskaux, capsys, command):
+        cfg, data = deskaux
+        out = tmp_path / "outdir"
+        out.mkdir()
+        capsys.readouterr()
+        with mock.patch("torusparse.cli.train") as train, \
+                mock.patch("torusparse.cli.train_baseline") as train_baseline:
+            rc = main([command, "--config", str(cfg), "--data", str(data),
+                       "--out", str(out)])
+        assert rc == 2
+        assert not train.called and not train_baseline.called
+        assert capsys.readouterr().err == f"error: --out {out} is a directory\n"
+        assert not (tmp_path / "outdir.log").exists()
+
+
 def corrupt_checkpoint(path, model, name, value):
     """Overwrite one stored scalar (or the flags) of a saved checkpoint."""
     blob = bytearray(path.read_bytes())
@@ -412,6 +459,85 @@ class TestPipeline:
             assert rc == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestOutputsEqualTheLibrary:
+    """The CLI's files against the library calls they stand for, with the
+    tiles laid out one at a time: images then their reconstructions, the
+    sweep image-major, the basis columns in order."""
+
+    @pytest.fixture
+    def trained(self, tmp_path, deskaux):
+        cfg, data = deskaux
+        ckpt = tmp_path / "model.ckpt"
+        assert main(["--threads", "1", "train", "--config", str(cfg), "--data", str(data),
+                     "--out", str(ckpt), "--epochs", "1"]) == 0
+        return ckpt, data, load_checkpoint_full(ckpt).model, load_checkpoint_full(data).dataset
+
+    def test_reconstruct(self, tmp_path, trained):
+        ckpt, data, model, dataset = trained
+        out = tmp_path / "cli.pgm"
+        assert main(["--threads", "1", "reconstruct", "--ckpt", str(ckpt), "--data",
+                     str(data), "--take", "3", "--out", str(out)]) == 0
+        images = tp.normalize_batch(dataset.images[:3])
+        recons = tp.reconstruct_batch(
+            images, model, tp.TrainConfig(noise_var=model.noise_var,
+                                          sparsity=model.sparsity), threads=1)
+        side = dataset.side
+        tiles = [im.reshape(side, side) for im in images]
+        tiles += [r.image_hat.reshape(side, side) for r in recons]
+        tp.export_grid(tiles, cols=3, path=tmp_path / "lib.pgm")
+        assert out.read_bytes() == (tmp_path / "lib.pgm").read_bytes()
+
+    def test_traverse(self, tmp_path, trained):
+        ckpt, data, model, dataset = trained
+        out = tmp_path / "cli.pgm"
+        assert main(["traverse", "--ckpt", str(ckpt), "--data", str(data), "--dim", "1",
+                     "--steps", "4", "--out", str(out)]) == 0
+        sweep = tp.latent_traversal(model, tp.normalize_batch(dataset.images[:5]), 1,
+                                    -math.pi, math.pi, 4)
+        side = dataset.side
+        tiles = [sweep[i, j].reshape(side, side)
+                 for i in range(sweep.shape[0]) for j in range(sweep.shape[1])]
+        assert len(tiles) == 20
+        tp.export_grid(tiles, cols=4, path=tmp_path / "lib.pgm")
+        assert out.read_bytes() == (tmp_path / "lib.pgm").read_bytes()
+
+    def test_export_w(self, tmp_path, trained):
+        ckpt, _, model, dataset = trained
+        out = tmp_path / "cli.pgm"
+        assert main(["export-w", "--ckpt", str(ckpt), "--cols", "3", "--out", str(out)]) == 0
+        side = dataset.side
+        tiles = [model.basis[:, j].reshape(side, side) for j in range(model.basis.shape[1])]
+        tp.export_grid(tiles, cols=3, path=tmp_path / "lib.pgm")
+        assert out.read_bytes() == (tmp_path / "lib.pgm").read_bytes()
+
+    @pytest.mark.parametrize("kind, flags, ranges, cyclic", [
+        ("translate2d", [], datasets.TRANSLATE_DEFAULT, False),
+        ("rotscale", [], datasets.ROTSCALE_DEFAULT, False),
+        ("translate2d", ["--dx", "-2.5", "3", "--dy", "-1", "0.5"],
+         ((-2.5, 3.0), (-1.0, 0.5)), False),
+        ("translate2d", ["--dy", "-1", "0.5"], ((-7.0, 7.0), (-1.0, 0.5)), False),
+        ("rotscale", ["--theta", "-30", "45", "--scale", "0.6", "1.2"],
+         ((math.radians(-30.0), math.radians(45.0)), (0.6, 1.2)), False),
+        ("rotscale", ["--scale", "0.6", "1.2"],
+         (datasets.ROTSCALE_DEFAULT[0], (0.6, 1.2)), False),
+        ("translate2d", ["--cyclic", "--dx", "-4", "4"], ((-4.0, 4.0), (-7.0, 7.0)), True),
+        ("rotscale", ["--cyclic"], datasets.ROTSCALE_DEFAULT, False),
+    ])
+    def test_gen_data(self, tmp_path, templates_idx, kind, flags, ranges, cyclic):
+        out = tmp_path / "cli.ds"
+        assert main(["gen-data", "--kind", kind, "--templates", str(templates_idx),
+                     "--count-per-template", "7", "--seed", "5", "--out", str(out),
+                     *flags]) == 0
+        loaded = datasets.load_idx_images(templates_idx)
+        templates = [img.reshape(loaded.side, loaded.side) for img in loaded.images]
+        spec = datasets.TransformSpec(kind, ranges, 7, cyclic=cyclic)
+        dataset = datasets.make_synthetic(templates, spec, 5)
+        expected = tmp_path / "lib.ds"
+        save_checkpoint(_placeholder_model(dataset.images.shape[1]), expected,
+                        dataset=dataset)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
