@@ -150,6 +150,8 @@ def _load_dataset(path) -> Dataset:
     contents = load_checkpoint_full(path)
     if contents.dataset is None:
         raise CheckpointError(f"{path} carries no dataset section")
+    if contents.dataset.images.shape[0] == 0:
+        raise ValueError(f"{path} holds no images")
     return contents.dataset
 
 
@@ -182,9 +184,6 @@ def _cmd_train(args) -> int:
             f"config D={cfg.image_dim} but dataset images have length "
             f"{dataset.images.shape[1]}"
         )
-    # refused here, not by save_checkpoint after the whole run
-    if os.path.isdir(args.out):
-        raise ValueError(f"--out {args.out} is a directory")
     log_path = args.out + ".log"
     if args.command == "baseline-train":
         state, _ = train_baseline(dataset, cfg, log_path=log_path)
@@ -260,6 +259,11 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
+        # every writer refuses a directory --out before its work, not when
+        # it writes the file at the end
+        out = getattr(args, "out", None)
+        if out is not None and os.path.isdir(out):
+            raise ValueError(f"--out {out} is a directory")
         return args.run(args)
     # ValueError covers CheckpointError, ConfigError, IdxFormatError and
     # LinAlgError; OSError covers files missing, unreadable or directories

@@ -17,8 +17,6 @@ import numpy as np
 from .posterior import (
     _blocks,
     _fold,
-    _half_spectrum,
-    _unfold,
     batch_posterior,
     grid_tables,
     natural_params,
@@ -122,45 +120,43 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
     with R the expected rotation: ``_ascent_residual``.
 
     v, C = B^T Phi and the prior's eta are mapped once per call into the
-    half-spectrum frame of the grid table (``posterior._fold``), so the
-    FISTA iterations run ``posterior_pass`` with no gather or conjugation
-    of blocks. The gradient back . C / noise_var needs no unfold, since
-    Re(conj(C) back) is the same in both frames; eta_hat and rbar are
-    unfolded once, after the ``batch_posterior`` pass at the final codes
-    that also forms the normalised weights and their peaks. Returns
-    (codes, BatchPosterior at the codes). Vectorizing over the batch is the
-    deterministic realization of per-image parallelism: every reduction
-    happens in a fixed order. ``step`` is the FISTA step size, a function
-    of the model alone (``fista_step_size``); callers that split one batch
-    into chunks compute it once and pass it to each. ``projection``, a
-    C-contiguous (B, 2L) float array, receives v = X B when given, so
-    that a caller can reuse it.
+    half-spectrum frame of the grid table (``posterior._fold``), where the
+    FISTA iterations run ``posterior_pass``. The gradient back . C /
+    noise_var needs no unfold, since Re(conj(C) back) is the same in both
+    frames. The ``batch_posterior`` pass at the final codes takes the
+    block-order problem and forms eta_hat, rbar, the normalised weights and
+    their peaks. Returns (codes, BatchPosterior at the codes). Vectorizing
+    over the batch is the deterministic realization of per-image
+    parallelism: every reduction happens in a fixed order. ``step`` is the
+    FISTA step size, a function of the model alone (``fista_step_size``);
+    callers that split one batch into chunks compute it once and pass it
+    to each. ``projection``, a C-contiguous (B, 2L) float array, receives
+    v = X B when given, so that a caller can reuse it.
     """
     images = np.atleast_2d(np.asarray(images, dtype=float))
     if images.shape[1] != model.basis.shape[0]:
         raise ValueError("image length does not match model dimension")
     n_grid = cfg.grid_size if n_grid is None else n_grid
     exact = cfg.grad_mode == "exact"
+    images_coeff = np.matmul(images, model.basis, out=projection)
+    coupling = model.basis.T @ model.dictionary
+    eta_prior = natural_params(model.prior)
     tables = grid_tables(model.freq, n_grid)
-    v = _fold(np.matmul(images, model.basis, out=projection), tables)
-    images_coeff = v.view(float)
-    coupling = _fold((model.basis.T @ model.dictionary).T, tables).view(float).T
-    eta_prior = _fold(natural_params(model.prior), tables).view(float)
-    problem = (coupling, eta_prior, model.noise_var,
-               _half_spectrum(model.freq, n_grid), n_grid)
-    scaled = coupling / model.noise_var
+    v = _fold(images_coeff, tables)
+    frame = (_fold(coupling.T, tables).view(float).T, _fold(eta_prior, tables).view(float),
+             model.noise_var, model.freq, n_grid)
+    scaled = frame[0] / model.noise_var
 
     def ascent(codes):
-        u, *_, rbar = posterior_pass(images_coeff, codes, *problem)
+        u, *_, rbar = posterior_pass(v.view(float), codes, *frame)
         back = _ascent_residual(v, u.view(complex), rbar.view(complex), exact)
         return back.view(float) @ scaled
 
     step = fista_step_size(model) if step is None else step
     init = np.full((images.shape[0], model.dictionary.shape[1]), cfg.code_init)
     codes = fista(ascent, init, step, step * model.sparsity, cfg.fista_steps)
-    post = batch_posterior(images_coeff, codes, *problem)[0]
-    post.eta_hat = _unfold(post.eta_hat.view(complex), tables)
-    post.rbar = _unfold(post.rbar.view(complex), tables)
+    post = batch_posterior(images_coeff, codes, coupling, eta_prior, model.noise_var,
+                           model.freq, n_grid)[0]
     return codes, post
 
 

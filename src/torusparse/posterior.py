@@ -23,14 +23,13 @@ GRID_POINT_LIMIT = 10_000_000
 # (rows, 2L^2) complex values, 8.4 MB at L = 128.
 MOMENT_ROWS = 16
 
-# Grid tables kept at once, oldest insert evicted first: at least the
-# inference table and the exact-mode pair table of a few models or grids.
+# Grid tables kept at once, one per (frequency table, N), oldest insert
+# evicted first: at least the inference table and the exact-mode pair table
+# of a few models or grids.
 TABLE_CACHE_ENTRIES = 8
 
 _TABLE_CACHE: dict = {}
 _TABLE_LOCK = threading.Lock()
-# Sign and order of a grid table whose fold is the identity.
-_IDENTITY = np.empty(0, dtype=np.intp)
 
 
 @dataclass(eq=False)
@@ -73,28 +72,26 @@ def grid_lattice(n: int, N: int) -> np.ndarray:
 
 def grid_tables(freq: FrequencyTable, N: int) -> tuple:
     """Separable factors of the grid phases e^{i omega_l . s}, s = 2 pi j / N,
-    folded onto the half spectrum.
+    in the table's half-spectrum frame, the only frame of the grid kernels.
 
     The energy is real, so a block whose rate has a negative last component
-    is read at -omega_l instead, with its eta pair conjugated
-    (``grid_energy``) and its sin moment negated (``grid_expectation``).
-    After this fold the last axis holds only rates >= 0 (9 values instead
-    of 17 at the paper shape), which halves the width of the two last-axis
-    GEMMs. The blocks, folded and gathered into cell order, form the
-    table's half-spectrum frame (``_fold``).
+    is read at -omega_l instead, with its (cos, sin) pair conjugated. After
+    this fold the last axis holds only rates >= 0 (9 values instead of 17
+    at the paper shape), which halves the width of the two last-axis GEMMs.
+    The blocks, folded and gathered into cell order, form the frame:
+    ``_fold`` maps block-order pairs into it and ``_unfold`` back.
 
     Returns a tuple of arrays: for each torus axis k, the (N, A_k) complex
     table e^{2 pi i a j / N} over the A_k distinct values a of folded
-    component k (ascending); the (L,) index of each block's cell in the
-    C-ordered A_1 x ... x A_n box; the (L,) fold sign of each block (+1.0 or
-    -1.0); the scatter plan of the blocks into the box: their stable order
-    by cell, the start of each run of equal cells in that order, and the
-    distinct cells; then the conjugate phase tables of all axes but the
-    last. Sign and order are empty when the fold is the identity (no
-    negative last component, blocks already in cell order). On a torus
-    e^{i omega . s} = prod_k e^{i omega_k s_k}, so the posterior energy and
-    the expected rotation are pruned DFTs over this box, evaluated one axis
-    at a time. Angles are reduced modulo N in integers first.
+    component k (ascending); the (L,) index of each frame block's cell in
+    the C-ordered A_1 x ... x A_n box (ascending); the (L,) fold sign of
+    each block in block order (+1.0 or -1.0); the frame's order, the stable
+    sort of the blocks by cell; the start of each run of equal cells in the
+    frame and the distinct cells; then the conjugate phase tables of all
+    axes but the last. On a torus e^{i omega . s} = prod_k e^{i omega_k
+    s_k}, so the posterior energy and the expected rotation are pruned DFTs
+    over this box, evaluated one axis at a time. Angles are reduced modulo
+    N in integers first.
 
     Cached per (table, N), oldest entry evicted first beyond
     TABLE_CACHE_ENTRIES: the same factors are reused across every inference
@@ -120,13 +117,10 @@ def grid_tables(freq: FrequencyTable, N: int) -> tuple:
         coords.append(position.reshape(-1))
     cells = np.ravel_multi_index(coords, [p.shape[1] for p in phases])
     order = np.argsort(cells, kind="stable")
-    starts = np.flatnonzero(np.diff(cells[order], prepend=-1))
-    distinct = cells[order[starts]]
-    sign = np.where(folded, -1.0, 1.0)
-    if not folded.any() and (np.diff(cells) >= 0).all():
-        sign = order = _IDENTITY
-    return _cache_put(key, (*phases, cells, sign, order, starts, distinct,
-                            *(p.conj() for p in phases[:-1])))
+    cells = cells[order]
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    return _cache_put(key, (*phases, cells, np.where(folded, -1.0, 1.0), order,
+                            starts, cells[starts], *(p.conj() for p in phases[:-1])))
 
 
 def _cache_put(key, tables: tuple) -> tuple:
@@ -155,14 +149,12 @@ def _blocks(pairs: np.ndarray) -> np.ndarray:
 
 
 def _fold(pairs: np.ndarray, tables: tuple) -> np.ndarray:
-    """Interleaved (..., 2L) pairs as complex (..., L) blocks in the table's
-    half-spectrum frame: gathered into cell order, folded blocks conjugated.
-    An identity fold returns a view of ``pairs``."""
+    """Interleaved (..., 2L) pairs in block order as complex (..., L) blocks
+    in the table's half-spectrum frame: gathered into cell order, folded
+    blocks conjugated."""
     _, _, sign, order, _, _, _ = _split(tables)
-    blocks = _blocks(pairs)
-    if order.size:
-        blocks = np.take(blocks, order, axis=-1)
-        blocks.imag *= sign[order]
+    blocks = np.take(_blocks(pairs), order, axis=-1)
+    blocks.imag *= sign[order]
     return blocks
 
 
@@ -170,46 +162,25 @@ def _unfold(blocks: np.ndarray, tables: tuple) -> np.ndarray:
     """The inverse of ``_fold``: complex (..., L) half-spectrum blocks back
     to interleaved (..., 2L) pairs in the table's block order."""
     _, _, sign, order, _, _, _ = _split(tables)
-    if not order.size:
-        return blocks.view(float)
     pairs = np.empty_like(blocks)
     pairs[..., order] = blocks
     pairs.imag *= sign
     return pairs.view(float)
 
 
-def _half_spectrum(freq: FrequencyTable, N: int) -> FrequencyTable:
-    """The frequency table of the half-spectrum frame of ``grid_tables(freq,
-    N)``: its rates folded and in cell order, so that its own fold is the
-    identity. Its grid tables are derived from freq's (the same phase
-    arrays, the cells sorted) and cached beside them, with no second
-    lattice build; call it once before threads share the frame."""
-    tables = grid_tables(freq, N)
-    phases, cells, sign, order, starts, distinct, conj = _split(tables)
-    if not order.size:
-        return freq
-    entries = np.where(sign[:, None] < 0, -freq.entries, freq.entries)[order]
-    folded = FrequencyTable(freq.n, entries, freq.multiplicity)
-    key = folded.cache_key() + (N,)
-    if key not in _TABLE_CACHE:
-        _cache_put(key, (*phases, cells[order], _IDENTITY, _IDENTITY, starts,
-                         distinct, *conj))
-    return folded
-
-
 def grid_energy(eta_hat: np.ndarray, tables: tuple) -> np.ndarray:
     """Energies eta_c . cos(omega_l . s) + eta_s . sin(omega_l . s) of a
-    (B, 2L) batch of natural parameters over the grid, shape (B, N**n).
+    (B, 2L) batch of natural parameters in the half-spectrum frame over the
+    grid, shape (B, N**n).
 
-    Reads eta_hat as complex z = eta_c + i eta_s in the half-spectrum frame
-    (``_fold``; no work when the table is already folded), sums blocks
-    sharing a cell into the frequency box along the scatter plan and takes
+    Reads eta_hat as complex z = eta_c + i eta_s, sums blocks sharing a
+    cell into the frequency box along the scatter plan and takes
     Re sum z e^{-i omega . s}: axes 1..n-1 by batched matmuls with the
     cached conjugate phases, the last axis as one real GEMM of the (re, im)
     float view against the (cos, sin) table.
     """
     phases, _, _, _, starts, distinct, conj = _split(tables)
-    blocks = _fold(eta_hat, tables)
+    blocks = _blocks(eta_hat)
     b = blocks.shape[0]
     rest = math.prod(p.shape[1] for p in phases)
     if starts.size < blocks.shape[1]:
@@ -224,16 +195,10 @@ def grid_energy(eta_hat: np.ndarray, tables: tuple) -> np.ndarray:
     return energy.reshape(b, -1)
 
 
-def grid_expectation(weights: np.ndarray, tables: tuple) -> np.ndarray:
-    """Expected (cos, sin)(omega_l . s) under (B, N**n) grid weights,
-    interleaved into (B, 2L): the adjoint of ``grid_energy``.
-
-    The last axis is one real GEMM against the (cos, sin) table, read back
-    as complex; the other axes are contracted by batched matmuls, then
-    each block reads its cell, whose (re, im) view is the (cos, sin) pair,
-    and folded blocks negate their sin.
-    """
-    phases, cells, sign, _, _, _, _ = _split(tables)
+def _box_expectation(weights: np.ndarray, phases) -> np.ndarray:
+    """Sums of (B, N**n) grid weights times e^{i a . s} over the frequency
+    box: the last axis as one real GEMM against the (cos, sin) table, read
+    back as complex, the other axes by batched matmuls; (B, A_1...A_n)."""
     b = weights.shape[0]
     last = phases[-1]
     n_grid, rest = last.shape
@@ -241,10 +206,16 @@ def grid_expectation(weights: np.ndarray, tables: tuple) -> np.ndarray:
     for phase in phases[-2::-1]:
         partial = np.matmul(phase.T, partial.reshape(b, -1, n_grid, rest))
         rest *= phase.shape[1]
-    moments = np.take(partial.reshape(b, -1), cells, axis=1)
-    if sign.size:
-        moments.imag *= sign
-    return moments.view(float)
+    return partial.reshape(b, -1)
+
+
+def grid_expectation(weights: np.ndarray, tables: tuple) -> np.ndarray:
+    """Expected (cos, sin)(omega_l . s) under (B, N**n) grid weights in the
+    half-spectrum frame, interleaved into (B, 2L): the adjoint of
+    ``grid_energy``. Each block reads its cell of the box, whose (re, im)
+    view is the (cos, sin) pair."""
+    phases, cells, _, _, _, _, _ = _split(tables)
+    return np.take(_box_expectation(weights, phases), cells, axis=1).view(float)
 
 
 def rotation_second_moment(u: np.ndarray, weights: np.ndarray,
@@ -256,14 +227,21 @@ def rotation_second_moment(u: np.ndarray, weights: np.ndarray,
     characteristic function phi(k) = sum_s w(s) e^{i k . s}, E[z_l conj(z_m)] =
     phi(omega_l - omega_m) w_l conj(w_m) and E[z_l z_m] = phi(omega_l + omega_m)
     w_l w_m: each real 2x2 block is a half-sum of their real and imaginary parts.
+    phi is gathered from the expectation box in block order, each pair
+    reading its cell with the fold's sign, so no pass unfolds a frame.
     """
     L, e = freq.L, freq.entries
     pairs = np.concatenate([e[:, None] - e[None], e[:, None] + e[None]])
-    tables = grid_tables(FrequencyTable(freq.n, pairs.reshape(-1, freq.n), 1), N)
+    phases, frame_cells, sign, order, _, _, _ = _split(
+        grid_tables(FrequencyTable(freq.n, pairs.reshape(-1, freq.n), 1), N))
+    cells = np.empty_like(frame_cells)
+    cells[order] = frame_cells
     w = _blocks(u)
     p_q = 0.0
     for rows in (slice(a, a + MOMENT_ROWS) for a in range(0, w.shape[0], MOMENT_ROWS)):
-        phi = grid_expectation(weights[rows], tables).view(complex).reshape(-1, 2, L, L)
+        phi = np.take(_box_expectation(weights[rows], phases), cells, axis=1)
+        phi.imag *= sign
+        phi = phi.reshape(-1, 2, L, L)
         p_q = p_q + np.einsum("bl,bkm,bklm->klm", w[rows],
                               np.stack([w[rows].conj(), w[rows]], axis=1), phi)
     p, q = p_q
@@ -319,7 +297,8 @@ def _eta_from_coefficients(u, v, eta_prior, noise_var):
 def posterior_grid(eta_hat: np.ndarray, freq: FrequencyTable, N: int) -> PosteriorGrid:
     """Evaluate the discretized posterior for one natural parameter vector."""
     eta_hat = np.array(eta_hat, dtype=float)
-    energy = grid_energy(eta_hat[None], grid_tables(freq, N))[0]
+    tables = grid_tables(freq, N)
+    energy = grid_energy(_fold(eta_hat[None], tables).view(float), tables)[0]
     shift = energy.max()
     weights = np.exp(energy - shift)
     total = weights.sum()
@@ -337,7 +316,8 @@ def expected_rotation(grid: PosteriorGrid, freq: FrequencyTable) -> np.ndarray:
     These 2L numbers are the blockwise representation of the expected
     rotation; the dense matrix is never formed.
     """
-    return grid_expectation(grid.weights[None], grid_tables(freq, grid.N))[0]
+    tables = grid_tables(freq, grid.N)
+    return _unfold(grid_expectation(grid.weights[None], tables).view(complex), tables)[0]
 
 
 def map_estimate(grid: PosteriorGrid) -> np.ndarray:
@@ -396,17 +376,18 @@ def posterior_pass(
     freq: FrequencyTable,
     N: int,
 ):
-    """One grid pass for a batch: the only posterior kernel.
+    """One grid pass for a batch in the half-spectrum frame of
+    ``grid_tables(freq, N)``: the only posterior kernel.
 
-    ``images_coeff`` is (B, 2L) of basis coefficients of the images and
+    ``images_coeff`` is (B, 2L) of basis coefficients of the images,
     ``coupling`` the (2L, K) matrix of basis coefficients of the
-    dictionary, so u = codes @ coupling.T. Returns (u, eta_hat, weights,
-    sums, rbar): the (B, 2L) coupled templates and natural parameters, the
-    (B, N**n) row-max-shifted unnormalised weights, their (B, 1) row sums,
-    and the expected rotation pairs rbar = expectation(weights) / sums, all
-    in freq's block order. The pass is cheapest when freq is a table's
-    half-spectrum frame (``_half_spectrum``, with the problem mapped by
-    ``_fold``): no block is gathered or conjugated, as FISTA runs it.
+    dictionary, so u = codes @ coupling.T, and ``eta_prior`` the prior's
+    natural parameters, all mapped into the frame (``_fold``). Returns (u,
+    eta_hat, weights, sums, rbar): the (B, 2L) coupled templates and
+    natural parameters, the (B, N**n) row-max-shifted unnormalised
+    weights, their (B, 1) row sums, and the expected rotation pairs rbar =
+    expectation(weights) / sums, the pairs in the frame. No block is
+    gathered or conjugated, so FISTA iterates it on a problem folded once.
     Summation orders are fixed, so results are reproducible bit for bit.
     """
     tables = grid_tables(freq, N)
@@ -430,19 +411,23 @@ def batch_posterior(
     freq: FrequencyTable,
     N: int,
 ):
-    """``posterior_pass`` with its weights normalised and each image's peak.
+    """``posterior_pass`` on a problem in freq's block order, with its
+    weights normalised and each image's peak.
 
-    Returns (BatchPosterior, weights) with weights (B, N**n) summing to one
-    per image; eta_hat and rbar are in freq's block order, whatever the
-    table (a half-spectrum table's own order is its folded one), and the
-    peaks do not depend on the frame.
+    Folds the problem into the half-spectrum frame on the way in and
+    unfolds eta_hat and rbar on the way out. Returns (BatchPosterior,
+    weights) with weights (B, N**n) summing to one per image; the peaks do
+    not depend on the frame.
     """
+    tables = grid_tables(freq, N)
     _, eta_hat, weights, sums, rbar = posterior_pass(
-        images_coeff, codes, coupling, eta_prior, noise_var, freq, N)
+        _fold(images_coeff, tables).view(float), codes,
+        _fold(coupling.T, tables).view(float).T,
+        _fold(eta_prior, tables).view(float), noise_var, freq, N)
     weights /= sums
     post = BatchPosterior(
-        eta_hat=eta_hat,
-        rbar=rbar,
+        eta_hat=_unfold(eta_hat.view(complex), tables),
+        rbar=_unfold(rbar.view(complex), tables),
         peak_index=np.argmax(weights, axis=1),
         n=freq.n,
         N=N,

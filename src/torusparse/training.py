@@ -22,7 +22,7 @@ from .datasets import normalize_batch
 from .inference import (_ascent_residual, fista, fista_step_size, infer_code_batch,
                         spectral_norm)
 from .lanes import Lanes, check_threads, run, split
-from .posterior import (BatchPosterior, TorusPrior, _blocks, _half_spectrum,
+from .posterior import (BatchPosterior, TorusPrior, _blocks, grid_tables,
                         rotation_second_moment)
 from .stiefel import StiefelAdamState, phi_update, positive_qr, riemannian_adam_step
 from .torus import (
@@ -292,7 +292,7 @@ def _infer_batch_threaded(images, model, cfg, threads: int,
     # thread's, and a profile that adds the calling thread's self time to
     # the wall time pool threads cover (the benchmark's check that self
     # time accounts for the wall time) would count that overlap twice.
-    _half_spectrum(model.freq, n_grid)  # build its tables once, before the chunks race
+    grid_tables(model.freq, n_grid)  # build them once, before the chunks race
     with ThreadPoolExecutor(max_workers=max(1, min(threads, len(slices)))) as pool:
         parts = list(pool.map(
             lambda sl: infer_code_batch(

@@ -22,6 +22,8 @@ from torusparse import (
 )
 from torusparse.inference import fista, fista_step_size
 from torusparse.posterior import (
+    _fold,
+    _unfold,
     grid_energy,
     grid_expectation,
     grid_lattice,
@@ -138,11 +140,12 @@ def oracle_posterior_pass(images_coeff, codes, coupling, eta_prior, noise_var,
     u = codes @ coupling.T
     eta_hat = (pairs(eta_prior) + pairs(u).conj() * pairs(images_coeff)
                / noise_var).view(float)
-    weights = grid_energy(eta_hat, tables)
+    weights = grid_energy(_fold(eta_hat, tables).view(float), tables)
     weights -= weights.max(axis=1, keepdims=True)
     np.exp(weights, out=weights)
     sums = weights.sum(axis=1, keepdims=True)
-    return eta_hat, weights, sums, grid_expectation(weights, tables) / sums
+    rbar = _unfold(grid_expectation(weights, tables).view(complex), tables)
+    return eta_hat, weights, sums, rbar / sums
 
 
 def oracle_infer_code_batch(images, model, cfg, N):

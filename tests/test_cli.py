@@ -277,6 +277,69 @@ class TestUnusableFiles:
         assert capsys.readouterr().err == f"error: --out {out} is a directory\n"
         assert not (tmp_path / "outdir.log").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["gen-data", "--kind", "rotscale", "--count-per-template", "2", "--seed", "0"],
+        ["reconstruct", "--take", "3"],
+        ["traverse", "--dim", "1", "--steps", "4"],
+        ["export-w", "--cols", "3"],
+    ], ids=lambda command: command[0])
+    def test_writers_refuse_a_directory_out_before_their_work(
+            self, tmp_path, templates_idx, capsys, command):
+        ckpt = model_with_images(tmp_path, np.random.default_rng(0).uniform(0.1, 1, (5, 16)))
+        inputs = {"gen-data": ["--templates", str(templates_idx)],
+                  "export-w": ["--ckpt", str(ckpt)]}.get(
+            command[0], ["--ckpt", str(ckpt), "--data", str(ckpt)])
+        out = tmp_path / "outdir"
+        out.mkdir()
+        work = ("make_synthetic", "reconstruct_batch", "latent_traversal", "export_grid")
+        with mock.patch.multiple("torusparse.cli", **{name: mock.DEFAULT for name in work}) \
+                as spies:
+            rc = main(command + inputs + ["--out", str(out)])
+        assert rc == 2
+        assert not any(spy.called for spy in spies.values())
+        assert capsys.readouterr().err == f"error: --out {out} is a directory\n"
+
+    @pytest.mark.parametrize("command", [
+        ["--threads", "1", "eval"],
+        ["--threads", "2", "eval"],
+        ["traverse", "--dim", "1", "--steps", "4", "--out", "sweep.pgm"],
+    ], ids=["eval-1-thread", "eval-2-threads", "traverse"])
+    def test_a_dataset_with_no_images_is_named(self, tmp_path, capsys, monkeypatch,
+                                               command):
+        monkeypatch.chdir(tmp_path)
+        data = model_with_images(tmp_path, np.empty((0, 16)))
+        rc = main(command + ["--ckpt", str(data), "--data", str(data)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {data} holds no images\n"
+        assert not (tmp_path / "sweep.pgm").exists()
+
+
+def model_with_images(tmp_path, images):
+    """A 4 x 4 model checkpoint carrying ``images`` as its dataset section."""
+    from conftest import small_model
+
+    path = tmp_path / "model.ds"
+    save_checkpoint(small_model(0, d=16, L=3, k=2, n=1), path,
+                    dataset=tp.Dataset(images=images, side=4))
+    return path
+
+
+def test_train_then_eval_cache_one_grid_table_per_grid(tmp_path, deskaux, monkeypatch):
+    # one (table, N) entry for training at N = 12 and one for eval at N = 100
+    from torusparse import posterior
+
+    cfg, data = deskaux
+    cfg.write_text(cfg.read_text().replace("L = 4\nn = 1\nN = 20", "L = 8\nn = 2\nN = 12"))
+    ckpt = tmp_path / "model.ckpt"
+    monkeypatch.setattr(posterior, "_TABLE_CACHE", {})
+    assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(ckpt),
+                 "--epochs", "1"]) == 0
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 0
+    freq = load_checkpoint_full(ckpt).model.freq
+    assert (freq.entries[:, -1] < 0).any()
+    assert set(posterior._TABLE_CACHE) == {freq.cache_key() + (12,),
+                                           freq.cache_key() + (100,)}
+
 
 def corrupt_checkpoint(path, model, name, value):
     """Overwrite one stored scalar (or the flags) of a saved checkpoint."""

@@ -385,6 +385,51 @@ def test_half_spectrum_iterations_keep_the_oracle_peaks(mode):
     np.testing.assert_array_equal(peaks, np.argmax(weights, axis=1))
 
 
+def folding_case(fista_steps=8):
+    model = small_model(61, d=20, L=8, k=3, n=2, noise_var=0.1, sparsity=0.5,
+                        kappa_scale=1.0)
+    assert (model.freq.entries[:, -1] < 0).any()
+    cfg = tp.TrainConfig(image_dim=20, n_freq=8, n_atoms=3, torus_dim=2,
+                         fista_steps=fista_steps, grid_size=16, noise_var=0.1,
+                         sparsity=0.5, code_init=0.5)
+    rng = np.random.default_rng(62)
+    images = rng.uniform(0.05, 1, (6, 20))
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    return model, cfg, images
+
+
+def test_inference_caches_one_grid_table(monkeypatch):
+    # the half-spectrum frame is the table's own: no twin table is cached
+    from torusparse import posterior
+
+    model, cfg, images = folding_case()
+    monkeypatch.setattr(posterior, "_TABLE_CACHE", {})
+    infer_code_batch(images, model, cfg)
+    assert list(posterior._TABLE_CACHE) == [model.freq.cache_key() + (cfg.grid_size,)]
+
+
+def test_inference_folds_a_fixed_number_of_times(monkeypatch):
+    # the problem is folded on the way in and unfolded on the way out,
+    # never once per FISTA iteration
+    from torusparse import posterior
+
+    calls = []
+
+    def spy(pairs, tables, _inner=posterior._fold):
+        calls.append(1)
+        return _inner(pairs, tables)
+
+    for module in (posterior, inference):
+        monkeypatch.setattr(module, "_fold", spy)
+    counts = []
+    for steps in (1, 5):
+        model, cfg, images = folding_case(steps)
+        calls.clear()
+        infer_code_batch(images, model, cfg)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(freq=fold_tables(), N=st.integers(3, 8), atoms=st.integers(1, 3),
        batch=st.integers(1, 4), noise_var=st.floats(0.05, 0.5),

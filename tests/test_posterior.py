@@ -451,18 +451,3 @@ def test_fold_round_trips_and_is_idempotent_bit_for_bit(freq, N, seed):
     folded = posterior._fold(x, tables)
     assert np.array_equal(posterior._unfold(folded, tables).view(np.uint64),
                           x.view(np.uint64))
-    # the half-spectrum table folds nothing, so folding a folded problem
-    # (or the table itself) is the identity
-    frame = posterior._half_spectrum(freq, N)
-    assert posterior._half_spectrum(frame, N) is frame
-    assert (frame.entries[:, -1] >= 0).all()
-    frame_tables = grid_tables(frame, N)
-    again = posterior._fold(folded.view(float), frame_tables)
-    assert np.array_equal(again.view(np.uint64), folded.view(np.uint64))
-    # its tables, derived from freq's, are those a build of its own gives
-    key = frame.cache_key() + (N,)
-    if posterior._TABLE_CACHE.pop(key, None) is not None:
-        built = grid_tables(frame, N)
-        assert len(built) == len(frame_tables)
-        for a, b in zip(built, frame_tables):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
