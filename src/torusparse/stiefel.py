@@ -34,20 +34,25 @@ def tangent_project(point: np.ndarray, grad: np.ndarray,
     B (B^T G + G^T B) / 2 in blocks of rows, run on the lanes."""
     if grad.shape != point.shape:
         raise ValueError(f"gradient shape {grad.shape} != point shape {point.shape}")
+    return _tangent_project_into(point, grad, np.empty(grad.shape), lanes)
+
+
+def _tangent_project_into(point, grad, out, lanes):
+    """``tangent_project`` written into ``out``, which overlaps neither
+    ``point`` nor ``grad``; returns ``out``."""
     width = point.shape[1]
     inner = np.empty((width, width))
     run(lanes, lambda c: np.matmul(point[:, c].T, grad, out=inner[c]),
         split(width, lanes))
     inner += inner.T
     inner *= 0.5
-    normal = np.empty(grad.shape)
 
     def rows(r):
-        np.matmul(point[r], inner, out=normal[r])
-        np.subtract(grad[r], normal[r], out=normal[r])
+        np.matmul(point[r], inner, out=out[r])
+        np.subtract(grad[r], out[r], out=out[r])
 
     run(lanes, rows, split(point.shape[0], lanes))
-    return normal
+    return out
 
 
 def _identity_error(gram: np.ndarray) -> float:
@@ -117,12 +122,19 @@ def positive_qr(y: np.ndarray, lanes: Optional[Lanes] = None):
     diagonal signs fixed is used instead (Fukaya et al. 2014, CholeskyQR2).
     With ``lanes``, Y^T Y and the Q^T Q check take ``_split_gram``'s form
     and Y chol^-T is formed in blocks of rows, run on the lanes; the
-    Cholesky factor and its inverse stay on the calling thread.
+    Cholesky factor and its inverse stay on the calling thread. Q is a
+    new array; the Riemannian Adam step writes it into a buffer of its own.
     """
+    return _positive_qr_into(y, np.empty(y.shape), lanes)
+
+
+def _positive_qr_into(y, q, lanes):
+    """``positive_qr`` with Q written into ``q``, which must not overlap
+    ``y``: the Householder fallback reads ``y`` after CholeskyQR has
+    written its rejected Q."""
     try:
         chol = np.linalg.cholesky(y.T @ y if lanes is None else _split_gram(y, lanes))
         inverse_t = _invert_lower(chol).T
-        q = np.empty(y.shape)
         run(lanes, lambda r: np.matmul(y[r], inverse_t, out=q[r]),
             split(y.shape[0], lanes))
         if lanes is None:
@@ -133,18 +145,50 @@ def positive_qr(y: np.ndarray, lanes: Optional[Lanes] = None):
             return q, np.diag(chol)
     except np.linalg.LinAlgError:
         pass
-    q, r = np.linalg.qr(y)
+    householder, r = np.linalg.qr(y)
     diag = np.diag(r)
-    return q * np.sign(diag), np.abs(diag)
+    np.multiply(householder, np.sign(diag), out=q)
+    return q, np.abs(diag)
 
 
 def retract(point: np.ndarray, step: np.ndarray,
             lanes: Optional[Lanes] = None) -> np.ndarray:
-    """QR retraction of point + step, with the R diagonal forced positive."""
+    """QR retraction of point + step, with the R diagonal forced positive.
+
+    A NaN or infinity in ``point`` or ``step`` raises FloatingPointError,
+    and an R diagonal below 1e-12 of max|point| + max|step| (at least 1)
+    raises LinAlgError. With ``lanes``, point + step and those maxima are
+    formed in blocks of rows, run on the lanes, as is ``positive_qr``.
+    """
     if step.shape != point.shape:
         raise ValueError(f"step shape {step.shape} != point shape {point.shape}")
-    q, diag = positive_qr(point + step, lanes)
-    scale = max(point.max(), -point.min()) + max(step.max(), -step.min())
+    y = np.empty(point.shape)
+    bounds = run(lanes, lambda r: _retraction_input(point, step, y, r),
+                 split(point.shape[0], lanes))
+    return _retract_into(y, bounds, np.empty(point.shape), lanes)
+
+
+def _retraction_input(point, step, y, rows):
+    """Y = point + step on ``rows``, written into ``y``; returns the rows'
+    (max point, -min point, max step, -min step)."""
+    p, s = point[rows], step[rows]
+    np.add(p, s, out=y[rows])
+    return p.max(), -p.min(), s.max(), -s.min()
+
+
+def _retract_into(y, bounds, q, lanes):
+    """The retraction of Y = point + step, with Q written into ``q``.
+
+    ``bounds`` holds the ``_retraction_input`` result of every row block
+    of Y; they give the rank scale max|point| + max|step| with no pass
+    over the arrays. A non-finite scale (a NaN or infinity in either)
+    raises before the QR, since NaN would make the rank check never fire.
+    """
+    bound = np.max(bounds, axis=0)  # np.max keeps a NaN; Python's max can drop it
+    scale = bound[:2].max() + bound[2:].max()
+    if not np.isfinite(scale):
+        raise FloatingPointError("non-finite retraction input")
+    diag = _positive_qr_into(y, q, lanes)[1]
     if np.any(diag < 1e-12 * max(scale, 1.0)):
         raise np.linalg.LinAlgError("rank-deficient retraction input")
     return q
@@ -176,40 +220,53 @@ def riemannian_adam_step(
     moments produce the step, the step is retracted, and the first moment
     is re-projected at the new point so stale normal components never
     accumulate. The moment arithmetic runs in the order of the textbook
-    formulas, through buffers allocated here; the input state is not
-    modified. With ``lanes``, the projections, the moments and the
-    retraction run in blocks on the lanes; the blocks, and so the bits,
-    do not depend on the number of lanes.
+    formulas. A non-finite gradient raises FloatingPointError, as does a
+    non-finite retraction input (a NaN or infinity in the point or in the
+    moments of ``state``); a rank-deficient one raises LinAlgError.
+
+    The step allocates four arrays of the point's shape, and each stage
+    writes into one of them: T holds the projected gradient, then the Adam
+    denominator, then the retraction input Y = point + step, then the
+    transported first moment (the new ``m1``); S holds the step, then Q
+    (the new point); two more hold the new first moment before transport
+    and the new second moment. The input point, gradient and state are not
+    modified. With ``lanes``, the projections, the moments with Y and its
+    rank scale, and the retraction run in blocks on the lanes; the blocks,
+    and so the bits, do not depend on the number of lanes.
     """
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite basis gradient")
-    tangent = tangent_project(point, grad, lanes)
+    tangent, step, m1, m2 = (np.empty(point.shape) for _ in range(4))
+    _tangent_project_into(point, grad, tangent, lanes)
     count = state.step_count + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    scratch, m1, m2 = (np.empty(point.shape) for _ in range(3))
 
     def moments(r):
-        """Every elementwise op of the step on rows ``r``."""
-        np.multiply(tangent[r], 1.0 - b1, out=scratch[r])
+        """Every elementwise op of the step on rows ``r``, then those rows
+        of Y, written over the denominator, and their bounds."""
+        np.multiply(tangent[r], 1.0 - b1, out=step[r])
         np.multiply(state.m1[r], b1, out=m1[r])
-        m1[r] += scratch[r]
-        np.multiply(tangent[r], 1.0 - b2, out=scratch[r])
-        scratch[r] *= tangent[r]
+        m1[r] += step[r]
+        np.multiply(tangent[r], 1.0 - b2, out=step[r])
+        step[r] *= tangent[r]
         np.multiply(state.m2[r], b2, out=m2[r])
-        m2[r] += scratch[r]
+        m2[r] += step[r]
         # step = lr * m1_hat / (sqrt(m2_hat) + eps), the hats bias-corrected
-        step = np.divide(m1[r], 1.0 - b1**count, out=scratch[r])
-        step *= state.lr
+        np.divide(m1[r], 1.0 - b1**count, out=step[r])
+        step[r] *= state.lr
         denom = np.divide(m2[r], 1.0 - b2**count, out=tangent[r])
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
-        step /= denom
+        step[r] /= denom
+        return _retraction_input(point, step, tangent, r)
 
-    run(lanes, moments, split(point.shape[0], lanes))
-    step = scratch
-    new_point = retract(point, step, lanes) if np.any(step) else point
+    bounds = run(lanes, moments, split(point.shape[0], lanes))
+    new_point = point
+    if np.any(np.array(bounds)[:, 2:]):  # the step has a nonzero or NaN entry
+        new_point = _retract_into(tangent, bounds, step, lanes)
+    # Y is free only now: the Householder fallback reads it
     new_state = StiefelAdamState(
-        m1=tangent_project(new_point, m1, lanes),
+        m1=_tangent_project_into(new_point, m1, tangent, lanes),
         m2=m2,
         lr=state.lr,
         step_count=count,

@@ -21,6 +21,7 @@ from torusparse import (
     make_synthetic,
 )
 from torusparse.inference import fista, fista_step_size
+from torusparse.lanes import run, split
 from torusparse.posterior import (
     _fold,
     _unfold,
@@ -30,6 +31,14 @@ from torusparse.posterior import (
     grid_tables,
     natural_params,
     posterior_grid,
+)
+from torusparse.stiefel import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    StiefelAdamState,
+    positive_qr,
+    tangent_project,
 )
 from torusparse.torus import TWO_PI, rotate_pairs
 
@@ -170,6 +179,46 @@ def oracle_infer_code_batch(images, model, cfg, N):
     codes = fista(ascent, init, step, step * model.sparsity, cfg.fista_steps)
     eta_hat, weights, sums, rbar = oracle_posterior_pass(images_coeff, codes, *problem)
     return codes, eta_hat, rbar, weights / sums
+
+
+def oracle_riemannian_adam_step(state, point, grad, lanes=None):
+    """The Riemannian Adam step as written before its four shared buffers:
+    a fresh array for the tangent, the step, each moment, Y = point + step
+    and the transported moment, with Y and the rank scale formed on the
+    calling thread. Returns (new state, new point)."""
+    if not np.isfinite(grad).all():
+        raise FloatingPointError("non-finite basis gradient")
+    tangent = tangent_project(point, grad, lanes)
+    count = state.step_count + 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    scratch, m1, m2 = (np.empty(point.shape) for _ in range(3))
+
+    def moments(r):
+        np.multiply(tangent[r], 1.0 - b1, out=scratch[r])
+        np.multiply(state.m1[r], b1, out=m1[r])
+        m1[r] += scratch[r]
+        np.multiply(tangent[r], 1.0 - b2, out=scratch[r])
+        scratch[r] *= tangent[r]
+        np.multiply(state.m2[r], b2, out=m2[r])
+        m2[r] += scratch[r]
+        step = np.divide(m1[r], 1.0 - b1**count, out=scratch[r])
+        step *= state.lr
+        denom = np.divide(m2[r], 1.0 - b2**count, out=tangent[r])
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step /= denom
+
+    run(lanes, moments, split(point.shape[0], lanes))
+    step = scratch
+    new_point = point
+    if np.any(step):
+        new_point, diag = positive_qr(point + step, lanes)
+        scale = max(point.max(), -point.min()) + max(step.max(), -step.min())
+        if np.any(diag < 1e-12 * max(scale, 1.0)):
+            raise np.linalg.LinAlgError("rank-deficient retraction input")
+    new_state = StiefelAdamState(m1=tangent_project(new_point, m1, lanes), m2=m2,
+                                 lr=state.lr, step_count=count)
+    return new_state, new_point
 
 
 def brute_posterior_weights(image, code, model, N) -> np.ndarray:

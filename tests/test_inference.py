@@ -360,6 +360,41 @@ def test_ascent_rbar_is_batch_posterior_rbar_bit_for_bit(monkeypatch):
         assert np.array_equal(batch_posterior(*args)[0].rbar, rbar)
 
 
+def test_ascent_rbar_unfolds_to_batch_posterior_rbar_on_a_folding_table(monkeypatch):
+    # rates with a negative last component fold, so the frame differs from
+    # block order: batch_posterior gets the spy's problem unfolded to block
+    # order, and its r-bar must equal the spy's r-bar unfolded, bit for bit
+    model = small_model(61, d=20, L=8, k=3, n=2, noise_var=0.1, sparsity=0.5,
+                        kappa_scale=1.0)
+    assert (model.freq.entries[:, -1] < 0).any()
+    cfg = tp.TrainConfig(image_dim=20, n_freq=8, n_atoms=3, torus_dim=2,
+                         fista_steps=4, grid_size=9, noise_var=0.1)
+    tables = grid_tables(model.freq, cfg.grid_size)
+    rng = np.random.default_rng(52)
+    images = rng.uniform(0.05, 1, (5, 20))
+    images /= np.linalg.norm(images, axis=1, keepdims=True)
+    seen = []
+    kernel = inference.posterior_pass
+
+    def spy(*args):
+        result = kernel(*args)
+        seen.append((args, result[-1]))
+        return result
+
+    monkeypatch.setattr(inference, "posterior_pass", spy)
+    infer_code_batch(images, model, cfg)
+    assert len(seen) == cfg.fista_steps
+
+    def unfold(frame_pairs):
+        return _unfold(np.ascontiguousarray(frame_pairs).view(complex), tables)
+
+    for (v, codes, coupling, eta_prior, *rest), rbar in seen:
+        want = batch_posterior(unfold(v), codes, unfold(coupling.T).T,
+                               unfold(eta_prior), *rest)[0].rbar
+        assert np.array_equal(unfold(rbar), want)
+        assert not np.array_equal(rbar, want)
+
+
 def check_against_standard_frame_oracle(images, model, cfg):
     codes, post = infer_code_batch(images, model, cfg)
     want_codes, want_eta, want_rbar, want_weights = oracle_infer_code_batch(

@@ -1,7 +1,13 @@
+import tracemalloc
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import oracle_riemannian_adam_step
+from torusparse import stiefel
+from torusparse.lanes import Lanes
 from torusparse.stiefel import (
     QR_ORTHONORMALITY_TOL,
     StiefelAdamState,
@@ -254,3 +260,113 @@ def test_adam_step_leaves_the_input_state_unchanged():
     np.testing.assert_array_equal(state.m1, m1)
     np.testing.assert_array_equal(state.m2, m2)
     assert new_state.m1 is not state.m1 and new_state.m2 is not state.m2
+
+
+def lanes_at(threads):
+    """A context giving Lanes(threads), or None for ``threads`` None."""
+    return nullcontext() if threads is None else Lanes(threads)
+
+
+@pytest.mark.parametrize("householder", [False, True])
+@pytest.mark.parametrize("threads", [None, 1, 2, 3])
+def test_adam_steps_equal_the_textbook_oracle_bit_for_bit(threads, householder,
+                                                          monkeypatch):
+    # zero gradients at the first step (a zero step: no retraction) and at
+    # the fourth (moments still move the point); with ``householder`` every
+    # CholeskyQR Q is rejected after it is written, so the fallback reads Y
+    # from the buffer that must not hold Q
+    rng = np.random.default_rng(22)
+    point = random_stiefel(rng, 37, 10)
+    calls = spy_on_householder_qr(monkeypatch)
+    if householder:
+        monkeypatch.setattr(stiefel, "QR_ORTHONORMALITY_TOL", -1.0)
+    grads = [np.zeros(point.shape), *rng.standard_normal((2, 37, 10)),
+             np.zeros(point.shape), rng.standard_normal((37, 10))]
+    state = want_state = StiefelAdamState.init(point.shape, lr=0.05)
+    want_point = point
+    with lanes_at(threads) as lanes:
+        for k, grad in enumerate(grads):
+            want_state, want_point = oracle_riemannian_adam_step(
+                want_state, want_point, grad, lanes)
+            state, point = riemannian_adam_step(state, point, grad, lanes)
+            assert point.tobytes() == want_point.tobytes()
+            assert state.m1.tobytes() == want_state.m1.tobytes()
+            assert state.m2.tobytes() == want_state.m2.tobytes()
+            assert state.step_count == want_state.step_count == k + 1
+    # the oracle and the step each retract at steps 2 to 5
+    assert len(calls) == (8 if householder else 0)
+
+
+@pytest.mark.parametrize("threads", [None, 2])
+def test_adam_step_leaves_point_gradient_and_moments_bytes_unchanged(threads):
+    rng = np.random.default_rng(23)
+    point = random_stiefel(rng, 21, 6)
+    state, point = riemannian_adam_step(StiefelAdamState.init(point.shape, lr=0.05),
+                                        point, rng.standard_normal(point.shape))
+    grad = rng.standard_normal(point.shape)
+    inputs = (point, grad, state.m1, state.m2)
+    before = [a.tobytes() for a in inputs]
+    with lanes_at(threads) as lanes:
+        new_state, new_point = riemannian_adam_step(state, point, grad, lanes)
+    assert [a.tobytes() for a in inputs] == before
+    outputs = (new_point, new_state.m1, new_state.m2)
+    assert not any(np.shares_memory(a, b) for a in inputs for b in outputs)
+
+
+@pytest.mark.parametrize("threads", [None, 1, 2, 3])
+def test_adam_step_at_the_paper_shape_peaks_within_four_basis_sized_buffers(threads):
+    # four D x 2L arrays (T, S and the two new moments) and four 2L x 2L
+    # ones (B^T G, the Cholesky factor, its inverse and the Q^T Q check)
+    d, width = 784, 256
+    bound = 4 * d * width * 8 + 4 * width * width * 8
+    rng = np.random.default_rng(24)
+    point = random_stiefel(rng, d, width)
+    grad = rng.standard_normal(point.shape)
+    with lanes_at(threads) as lanes:
+        state, point = riemannian_adam_step(StiefelAdamState.init(point.shape, 0.3),
+                                            point, grad, lanes)  # starts the pool
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            riemannian_adam_step(state, point, grad, lanes)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+    assert peak <= bound
+
+
+def with_last_entry(a, value):
+    """A copy of ``a`` whose last entry, in its last row block, is ``value``."""
+    a = a.copy()
+    a[-1, -1] = value
+    return a
+
+
+@pytest.mark.parametrize("threads", [None, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["point", "step"])
+def test_non_finite_retraction_input_is_named(where, value, threads):
+    # the bad entry sits in the last row block, after finite block maxima
+    rng = np.random.default_rng(25)
+    point = random_stiefel(rng, 20, 5)
+    step = 0.1 * rng.standard_normal(point.shape)
+    if where == "point":
+        point = with_last_entry(point, value)
+    else:
+        step = with_last_entry(step, value)
+    with lanes_at(threads) as lanes:
+        with pytest.raises(FloatingPointError, match="^non-finite retraction input$"):
+            retract(point, step, lanes)
+
+
+@pytest.mark.parametrize("threads", [None, 3])
+@pytest.mark.parametrize("moment", ["m1", "m2"])
+def test_non_finite_adam_moment_is_named(moment, threads):
+    rng = np.random.default_rng(26)
+    point = random_stiefel(rng, 20, 5)
+    state, point = riemannian_adam_step(StiefelAdamState.init(point.shape, lr=0.05),
+                                        point, rng.standard_normal(point.shape))
+    setattr(state, moment, with_last_entry(getattr(state, moment), np.nan))
+    with lanes_at(threads) as lanes:
+        with pytest.raises(FloatingPointError, match="^non-finite retraction input$"):
+            riemannian_adam_step(state, point, rng.standard_normal(point.shape), lanes)
