@@ -80,9 +80,9 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THR
 
 
 def _default_threads() -> int:
-    """One chunk thread per core when BLAS is pinned to one thread, else one:
-    each chunk calls BLAS, and a multithreaded BLAS in every chunk thread
-    would run more threads than cores."""
+    """One inference thread per core when BLAS is pinned to one thread, else
+    one: each inference thread calls BLAS, and a multithreaded BLAS in every
+    one would run more threads than cores."""
     if any(os.environ.get(name) == "1" for name in BLAS_THREAD_VARIABLES):
         return os.cpu_count() or 1
     return 1

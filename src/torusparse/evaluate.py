@@ -42,8 +42,9 @@ def reconstruct_batch(images: np.ndarray, model, cfg,
                       n_grid: int = EVAL_GRID_SIZE, threads: int = 1):
     """Reconstruct many images; returns a list.
 
-    Inference runs in grid-sized chunks on up to ``threads`` threads, as
-    in training; the images are then regenerated in one batched pass.
+    Inference runs in tiles fixed by the images and the grid on up to
+    ``threads`` threads, as in training; the images are then regenerated
+    in one batched pass.
     """
     images = np.atleast_2d(np.asarray(images, dtype=float))
     basis = model.basis

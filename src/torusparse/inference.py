@@ -16,12 +16,14 @@ import numpy as np
 
 from .posterior import (
     _blocks,
+    _eta_from_coefficients,
     _fold,
     batch_posterior,
+    concat_posteriors,
+    grid_pass,
     grid_tables,
     natural_params,
     posterior_grid,
-    posterior_pass,
 )
 
 
@@ -111,7 +113,8 @@ def fista(gradient, init: np.ndarray, step: float, threshold: float, steps: int)
 
 
 def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
-                     step: float | None = None, projection: np.ndarray | None = None):
+                     step: float | None = None, projection: np.ndarray | None = None,
+                     tiles: list | None = None):
     """Run the full inference loop for a batch of images at once.
 
     Works only on the 2L basis coefficients v = B^T x of the images and
@@ -119,44 +122,69 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
     approximate ascent residual R^T B^T (x - B R u) equals R^T v - rho * u,
     with R the expected rotation: ``_ascent_residual``.
 
+    ``tiles``, row slices covering the batch in order (default: one tile
+    of every row), set the shape of every product whose rounding could
+    depend on its row count: v = X B, u = codes C^T, the grid passes, the
+    gradient back . C / noise_var and the final ``batch_posterior`` pass
+    each run once per tile, so a tile's bits are those of a batch of its
+    rows alone. The elementwise work of an iteration (eta, the ascent
+    residual, the prox, the momentum and the finite check) runs once over
+    the whole batch, so one FISTA loop serves every tile.
+
     v, C = B^T Phi and the prior's eta are mapped once per call into the
     half-spectrum frame of the grid table (``posterior._fold``), where the
-    FISTA iterations run ``posterior_pass``. The gradient back . C /
-    noise_var needs no unfold, since Re(conj(C) back) is the same in both
-    frames. The ``batch_posterior`` pass at the final codes takes the
-    block-order problem and forms eta_hat, rbar, the normalised weights and
-    their peaks. Returns (codes, BatchPosterior at the codes). Vectorizing
-    over the batch is the deterministic realization of per-image
-    parallelism: every reduction happens in a fixed order. ``step`` is the
-    FISTA step size, a function of the model alone (``fista_step_size``);
-    callers that split one batch into chunks compute it once and pass it
-    to each. ``projection``, a C-contiguous (B, 2L) float array, receives
-    v = X B when given, so that a caller can reuse it.
+    iterations run ``grid_pass``; the gradient needs no unfold, since
+    Re(conj(C) back) is the same in both frames. The ``batch_posterior``
+    pass at the final codes takes the block-order problem and forms
+    eta_hat, rbar, the normalised weights and their peaks. Returns (codes,
+    BatchPosterior at the codes). Vectorizing over the batch is the
+    deterministic realization of per-image parallelism: every reduction
+    happens in a fixed order. ``step`` is the FISTA step size, a function
+    of the model alone (``fista_step_size``); callers that split one batch
+    compute it once and pass it to each call. ``projection``, a
+    C-contiguous (B, 2L) float array, receives v = X B when given, so that
+    a caller can reuse it.
     """
     images = np.atleast_2d(np.asarray(images, dtype=float))
     if images.shape[1] != model.basis.shape[0]:
         raise ValueError("image length does not match model dimension")
     n_grid = cfg.grid_size if n_grid is None else n_grid
+    tiles = [slice(0, images.shape[0])] if tiles is None else tiles
     exact = cfg.grad_mode == "exact"
-    images_coeff = np.matmul(images, model.basis, out=projection)
+    if projection is None:
+        projection = np.empty((images.shape[0], model.basis.shape[1]))
+    for t in tiles:
+        np.matmul(images[t], model.basis, out=projection[t])
     coupling = model.basis.T @ model.dictionary
     eta_prior = natural_params(model.prior)
     tables = grid_tables(model.freq, n_grid)
-    v = _fold(images_coeff, tables)
-    frame = (_fold(coupling.T, tables).view(float).T, _fold(eta_prior, tables).view(float),
-             model.noise_var, model.freq, n_grid)
-    scaled = frame[0] / model.noise_var
+    v = _fold(projection, tables)
+    coupling_frame = _fold(coupling.T, tables).view(float)
+    eta_frame = _fold(eta_prior, tables).view(float)
+    scaled = coupling_frame.T / model.noise_var
+    u = np.empty(projection.shape)
+    grad = np.empty((images.shape[0], coupling.shape[1]))
 
     def ascent(codes):
-        u, *_, rbar = posterior_pass(v.view(float), codes, *frame)
-        back = _ascent_residual(v, u.view(complex), rbar.view(complex), exact)
-        return back.view(float) @ scaled
+        for t in tiles:
+            np.matmul(codes[t], coupling_frame, out=u[t])
+        # each tile's rbar takes the rows of its eta_hat, which nothing
+        # reads after the tile's pass: one (B, 2L) array fewer held
+        rbar = _eta_from_coefficients(u, v.view(float), eta_frame, model.noise_var)
+        for t in tiles:
+            rbar[t] = grid_pass(rbar[t], tables)[3]
+        back = _ascent_residual(v, u.view(complex), rbar.view(complex), exact).view(float)
+        for t in tiles:
+            np.matmul(back[t], scaled, out=grad[t])
+        return grad
 
     step = fista_step_size(model) if step is None else step
     init = np.full((images.shape[0], model.dictionary.shape[1]), cfg.code_init)
     codes = fista(ascent, init, step, step * model.sparsity, cfg.fista_steps)
-    post = batch_posterior(images_coeff, codes, coupling, eta_prior, model.noise_var,
-                           model.freq, n_grid)[0]
+    post = concat_posteriors([
+        batch_posterior(projection[t], codes[t], coupling, eta_prior, model.noise_var,
+                        model.freq, n_grid)[0]
+        for t in tiles])
     return codes, post
 
 

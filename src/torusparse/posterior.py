@@ -22,6 +22,10 @@ GRID_POINT_LIMIT = 10_000_000
 # Images per pass of ``rotation_second_moment``: each pass gathers
 # (rows, 2L^2) complex values, 8.4 MB at L = 128.
 MOMENT_ROWS = 16
+# Nats below each row's peak at which ``grid_pass`` clamps the energy of a
+# batch whose span bound exceeds it: e^-600 is far above the subnormal range
+# (below e^-708), so exp and the expectation never see subnormal weights.
+SPAN_CLAMP = 600.0
 
 # Grid tables kept at once, one per (frequency table, N), oldest insert
 # evicted first: at least the inference table and the exact-mode pair table
@@ -125,7 +129,7 @@ def grid_tables(freq: FrequencyTable, N: int) -> tuple:
 
 def _cache_put(key, tables: tuple) -> tuple:
     # Hits stay lock-free and never move their entry (no pop and reinsert),
-    # so a chunk thread cannot miss a key another thread is touching; the
+    # so an inference thread cannot miss a key another thread is touching; the
     # lock keeps two builders from evicting the same oldest entry.
     with _TABLE_LOCK:
         if key not in _TABLE_CACHE:
@@ -295,18 +299,16 @@ def _eta_from_coefficients(u, v, eta_prior, noise_var):
 
 
 def posterior_grid(eta_hat: np.ndarray, freq: FrequencyTable, N: int) -> PosteriorGrid:
-    """Evaluate the discretized posterior for one natural parameter vector."""
+    """Evaluate the discretized posterior for one natural parameter vector:
+    a one-image ``grid_pass``."""
     eta_hat = np.array(eta_hat, dtype=float)
     tables = grid_tables(freq, N)
-    energy = grid_energy(_fold(eta_hat[None], tables).view(float), tables)[0]
-    shift = energy.max()
-    weights = np.exp(energy - shift)
-    total = weights.sum()
+    weights, shift, total, _ = grid_pass(_fold(eta_hat[None], tables).view(float), tables)
     weights /= total
-    log_norm = shift + math.log(total) + freq.n * math.log(TWO_PI / N)
+    log_norm = shift[0, 0] + math.log(total[0, 0]) + freq.n * math.log(TWO_PI / N)
     return PosteriorGrid(
-        N=N, n=freq.n, eta_hat=eta_hat, weights=weights,
-        log_norm=log_norm,
+        N=N, n=freq.n, eta_hat=eta_hat, weights=weights[0],
+        log_norm=float(log_norm),
     )
 
 
@@ -367,39 +369,36 @@ def map_estimate_batch(post: BatchPosterior) -> np.ndarray:
     return coords.astype(float) * (TWO_PI / post.N)
 
 
-def posterior_pass(
-    images_coeff: np.ndarray,
-    codes: np.ndarray,
-    coupling: np.ndarray,
-    eta_prior: np.ndarray,
-    noise_var: float,
-    freq: FrequencyTable,
-    N: int,
-):
-    """One grid pass for a batch in the half-spectrum frame of
-    ``grid_tables(freq, N)``: the only posterior kernel.
+def grid_pass(eta_hat: np.ndarray, tables: tuple):
+    """The one posterior kernel: a grid pass for a (B, 2L) batch of natural
+    parameters in the half-spectrum frame of ``tables``.
 
-    ``images_coeff`` is (B, 2L) of basis coefficients of the images,
-    ``coupling`` the (2L, K) matrix of basis coefficients of the
-    dictionary, so u = codes @ coupling.T, and ``eta_prior`` the prior's
-    natural parameters, all mapped into the frame (``_fold``). Returns (u,
-    eta_hat, weights, sums, rbar): the (B, 2L) coupled templates and
-    natural parameters, the (B, N**n) row-max-shifted unnormalised
-    weights, their (B, 1) row sums, and the expected rotation pairs rbar =
-    expectation(weights) / sums, the pairs in the frame. No block is
-    gathered or conjugated, so FISTA iterates it on a problem folded once.
-    Summation orders are fixed, so results are reproducible bit for bit.
+    Returns (weights, shift, sums, rbar): the (B, N**n) weights
+    exp(energy - shift), the (B, 1) row maxima ``shift`` of the energy, the
+    (B, 1) row sums of the weights, and the (B, 2L) expected rotation pairs
+    rbar = expectation(weights) / sums, in the frame. The weights are left
+    unnormalised, since each FISTA iteration needs only rbar.
+
+    An image's energy spans at most 2 sum_l (|Re eta_l| + |Im eta_l|) nats
+    over the grid. Past about 708 nats exp(energy - shift) gives subnormal
+    weights, on which exp and the expectation GEMM slow down 10-15x; so when
+    some row's bound exceeds SPAN_CLAMP, the shifted energies of the whole
+    batch are clamped at -SPAN_CLAMP before exp. That moves no weight of a
+    row whose span is below SPAN_CLAMP, and no other weight by more than
+    e^-SPAN_CLAMP of its row's peak. Summation orders are fixed, so results
+    are reproducible bit for bit.
     """
-    tables = grid_tables(freq, N)
-    u = codes @ coupling.T
-    eta_hat = _eta_from_coefficients(u, images_coeff, eta_prior, noise_var)
+    clamp = 2.0 * np.abs(eta_hat).sum(axis=1).max(initial=0.0) > SPAN_CLAMP
     weights = grid_energy(eta_hat, tables)
-    weights -= weights.max(axis=1, keepdims=True)
+    shift = weights.max(axis=1, keepdims=True)
+    weights -= shift
+    if clamp:
+        np.maximum(weights, -SPAN_CLAMP, out=weights)
     np.exp(weights, out=weights)
     sums = weights.sum(axis=1, keepdims=True)
     rbar = grid_expectation(weights, tables)
     rbar /= sums
-    return u, eta_hat, weights, sums, rbar
+    return weights, shift, sums, rbar
 
 
 def batch_posterior(
@@ -411,19 +410,22 @@ def batch_posterior(
     freq: FrequencyTable,
     N: int,
 ):
-    """``posterior_pass`` on a problem in freq's block order, with its
-    weights normalised and each image's peak.
+    """``grid_pass`` on a problem in freq's block order, with its weights
+    normalised in place and each image's peak.
 
-    Folds the problem into the half-spectrum frame on the way in and
-    unfolds eta_hat and rbar on the way out. Returns (BatchPosterior,
-    weights) with weights (B, N**n) summing to one per image; the peaks do
-    not depend on the frame.
+    ``images_coeff`` is (B, 2L) of basis coefficients of the images,
+    ``coupling`` the (2L, K) matrix of basis coefficients of the
+    dictionary, so u = codes @ coupling.T, and ``eta_prior`` the prior's
+    natural parameters. Folds the problem into the half-spectrum frame on
+    the way in and unfolds eta_hat and rbar on the way out. Returns
+    (BatchPosterior, weights) with weights (B, N**n) summing to one per
+    image; the peaks do not depend on the frame.
     """
     tables = grid_tables(freq, N)
-    _, eta_hat, weights, sums, rbar = posterior_pass(
-        _fold(images_coeff, tables).view(float), codes,
-        _fold(coupling.T, tables).view(float).T,
-        _fold(eta_prior, tables).view(float), noise_var, freq, N)
+    u = codes @ _fold(coupling.T, tables).view(float)
+    eta_hat = _eta_from_coefficients(u, _fold(images_coeff, tables).view(float),
+                                     _fold(eta_prior, tables).view(float), noise_var)
+    weights, _, sums, rbar = grid_pass(eta_hat, tables)
     weights /= sums
     post = BatchPosterior(
         eta_hat=_unfold(eta_hat.view(complex), tables),
@@ -433,3 +435,14 @@ def batch_posterior(
         N=N,
     )
     return post, weights
+
+
+def concat_posteriors(parts) -> BatchPosterior:
+    """One BatchPosterior of the rows of ``parts``, in their order."""
+    return BatchPosterior(
+        eta_hat=np.concatenate([p.eta_hat for p in parts], axis=0),
+        rbar=np.concatenate([p.rbar for p in parts], axis=0),
+        peak_index=np.concatenate([p.peak_index for p in parts], axis=0),
+        n=parts[0].n,
+        N=parts[0].N,
+    )

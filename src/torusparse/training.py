@@ -22,7 +22,7 @@ from .datasets import normalize_batch
 from .inference import (_ascent_residual, fista, fista_step_size, infer_code_batch,
                         spectral_norm)
 from .lanes import Lanes, check_threads, run, split
-from .posterior import (BatchPosterior, TorusPrior, _blocks, grid_tables,
+from .posterior import (TorusPrior, _blocks, concat_posteriors, grid_tables,
                         rotation_second_moment)
 from .stiefel import StiefelAdamState, phi_update, positive_qr, riemannian_adam_step
 from .torus import (
@@ -35,8 +35,8 @@ from .torus import (
 )
 
 COLUMN_NORM_TOL = 1e-10
-# Most posterior weights (float64, 1 MB) one inference chunk may hold, so
-# that chunks running at the same time stay small in memory.
+# Most posterior weights (float64, 1 MB) one inference tile may hold, so
+# that tiles running at the same time stay small in memory.
 CHUNK_WEIGHTS = 131072
 # Added to each baseline atom's mean squared activation before it divides
 # the atom's gradient, so a silent atom's step stays finite.
@@ -261,54 +261,58 @@ def _batch_gradients_exact(images, codes, model, rbar, weights=None, n_grid=None
     return grad_dict, grad_basis - model.basis @ moment / scale, residual
 
 
-def _chunk_slices(total: int, workers: int, grid_points: int):
-    """Even row slices: at least ``workers`` of them, and as many more as
-    keep each slice's (rows, grid_points) posterior weights within
-    CHUNK_WEIGHTS; never more slices than rows."""
+def _tile_slices(total: int, grid_points: int):
+    """Even row slices, as few as keep each slice's (rows, grid_points)
+    posterior weights within CHUNK_WEIGHTS (a slice of one row may hold
+    more). They depend on the data alone, never on a thread count."""
     rows = max(1, CHUNK_WEIGHTS // grid_points)
-    chunks = max(1, min(max(workers, -(-total // rows)), total))
-    bounds = np.linspace(0, total, chunks + 1).astype(int)
+    tiles = max(1, -(-total // rows))
+    bounds = np.linspace(0, total, tiles + 1).astype(int)
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
 def _infer_batch_threaded(images, model, cfg, threads: int,
                           n_grid: Optional[int] = None, projection=None):
-    """Chunked inference on up to ``threads`` threads, for training and
-    evaluation alike; results are assembled in chunk order, so a given
-    chunking always reproduces the same bits regardless of scheduling.
-    Each chunk writes its rows of v = X B into ``projection`` when given."""
+    """Inference for training and evaluation alike, in tiles fixed by the
+    data (``_tile_slices``) on up to ``threads`` threads.
+
+    Each of min(threads, tiles) pool threads runs one FISTA loop, one
+    ``infer_code_batch`` call, over a contiguous run of whole tiles.
+    Every product whose rounding could depend on its row count runs once
+    per tile, so the bits depend on the tiles alone, never on ``threads``;
+    results are assembled in row order. Each tile writes its rows of
+    v = X B into ``projection`` when given.
+    """
     check_threads(threads)
     n_grid = cfg.grid_size if n_grid is None else n_grid
-    slices = _chunk_slices(images.shape[0], threads, n_grid**model.freq.n)
-    step = fista_step_size(model)  # shared by every chunk
-    if len(slices) == 1:
-        return infer_code_batch(images, model, cfg, n_grid=n_grid, step=step,
-                                projection=projection)
+    tiles = _tile_slices(images.shape[0], n_grid**model.freq.n)
+    step = fista_step_size(model)  # shared by every group
+
+    def infer(group):
+        rows = slice(group[0].start, group[-1].stop)
+        return infer_code_batch(
+            images[rows], model, cfg, n_grid=n_grid, step=step,
+            projection=None if projection is None else projection[rows],
+            tiles=[slice(t.start - rows.start, t.stop - rows.start) for t in group])
+
+    if len(tiles) == 1:
+        return infer(tiles)
     from concurrent.futures import ThreadPoolExecutor
 
-    # The chunks run on pool threads while the calling thread only waits,
-    # not on ``Lanes``, where the caller would take a chunk too. Its own
+    # The groups run on pool threads while the calling thread only waits,
+    # not on ``Lanes``, where the caller would take a group too. Its own
     # ``infer_code_batch`` call would then run at the same time as a pool
     # thread's, and a profile that adds the calling thread's self time to
     # the wall time pool threads cover (the benchmark's check that self
     # time accounts for the wall time) would count that overlap twice.
-    grid_tables(model.freq, n_grid)  # build them once, before the chunks race
-    with ThreadPoolExecutor(max_workers=max(1, min(threads, len(slices)))) as pool:
-        parts = list(pool.map(
-            lambda sl: infer_code_batch(
-                images[sl], model, cfg, n_grid=n_grid, step=step,
-                projection=None if projection is None else projection[sl]),
-            slices,
-        ))
+    grid_tables(model.freq, n_grid)  # build them once, before the groups race
+    count = min(threads, len(tiles))
+    bounds = [len(tiles) * k // count for k in range(count + 1)]
+    groups = [tiles[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    with ThreadPoolExecutor(max_workers=count) as pool:
+        parts = list(pool.map(infer, groups))
     codes = np.concatenate([p[0] for p in parts], axis=0)
-    post = BatchPosterior(
-        eta_hat=np.concatenate([p[1].eta_hat for p in parts], axis=0),
-        rbar=np.concatenate([p[1].rbar for p in parts], axis=0),
-        peak_index=np.concatenate([p[1].peak_index for p in parts], axis=0),
-        n=parts[0][1].n,
-        N=parts[0][1].N,
-    )
-    return codes, post
+    return codes, concat_posteriors([p[1] for p in parts])
 
 
 def _run_epochs(data, dim: int, cfg: TrainConfig, shuffle_key, batch_step,
@@ -374,10 +378,10 @@ def train(
     Each batch's gradients come from ``_batch_gradients``. The basis moves
     along its term H, which has the ambient gradient's tangent part, the
     only part Riemannian Adam uses; so exact mode needs no second
-    posterior pass and no rotation second moment. Inference runs in
-    chunks on up to ``threads`` threads; the gradients and the Stiefel
-    step run in fixed blocks on one set of ``threads`` lanes, open for
-    the whole run, so their bits do not depend on ``threads``.
+    posterior pass and no rotation second moment. Inference runs in tiles
+    fixed by the batch on up to ``threads`` threads; the gradients and the
+    Stiefel step run in fixed blocks on one set of ``threads`` lanes, open
+    for the whole run. So the bits do not depend on ``threads``.
 
     Log records are (epoch, batch, mean squared residual, mean code L1,
     seconds); with ``log_path`` they are also appended to disk as

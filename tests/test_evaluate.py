@@ -14,7 +14,7 @@ from torusparse.evaluate import (
     snr,
 )
 from torusparse.torus import TWO_PI, apply_transform
-from torusparse.training import _chunk_slices
+from torusparse.training import _tile_slices
 
 from conftest import bandlimit, dft_shift_operator, small_model
 
@@ -260,8 +260,8 @@ def test_reconstruct_batch_matches_single():
 
 def cap_chunked_case():
     """An n=2 model at the evaluation grid N=100 with more images than one
-    chunk's weight cap allows, so the cap, not the thread count, sets the
-    chunks (4 of 10 images each, for up to 4 threads)."""
+    tile's weight cap allows: 4 tiles of 10 images each, whatever the
+    thread count."""
     model = small_model(21, d=16, L=4, k=3, n=2, sparsity=0.5)
     cfg = tp.TrainConfig(image_dim=16, n_freq=4, n_atoms=3, torus_dim=2,
                          fista_steps=6, grid_size=12, noise_var=0.05,
@@ -269,7 +269,7 @@ def cap_chunked_case():
     rng = np.random.default_rng(22)
     images = rng.uniform(0.05, 1, (40, 16))
     images /= np.linalg.norm(images, axis=1, keepdims=True)
-    assert len(_chunk_slices(40, 3, EVAL_GRID_SIZE**2)) == 4
+    assert len(_tile_slices(40, EVAL_GRID_SIZE**2)) == 4
     return model, cfg, images
 
 
@@ -323,7 +323,7 @@ def test_step_size_computed_once_for_eight_chunks(monkeypatch):
     rng = np.random.default_rng(23)
     images = rng.uniform(0.05, 1, (100, 16))
     images /= np.linalg.norm(images, axis=1, keepdims=True)
-    slices = _chunk_slices(100, 2, EVAL_GRID_SIZE**2)
+    slices = _tile_slices(100, EVAL_GRID_SIZE**2)
     assert len(slices) == 8
     unshared = np.concatenate([
         inference.infer_code_batch(images[sl], model, cfg, n_grid=EVAL_GRID_SIZE)[0]

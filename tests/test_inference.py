@@ -24,6 +24,7 @@ from torusparse.posterior import (
     expected_rotation,
     grid_tables,
     log_likelihood,
+    natural_params,
     posterior_grid,
     posterior_natural_params,
 )
@@ -336,34 +337,52 @@ def test_coefficient_space_step_matches_d_space_oracle(mode):
         np.testing.assert_allclose(codes[i], expected, rtol=0, atol=1e-12)
 
 
+def record_ascent(monkeypatch):
+    """Spies on the FISTA loop and the grid kernel of ``infer_code_batch``:
+    a list that receives, per iteration, the codes the ascent was taken at
+    and the frame rbar the kernel returned for them."""
+    seen = []
+    loop, kernel = inference.fista, inference.grid_pass
+
+    def fista_spy(gradient, *args):
+        def recorded(codes):
+            seen.append([codes.copy()])
+            return gradient(codes)
+        return loop(recorded, *args)
+
+    def kernel_spy(eta_hat, tables):
+        result = kernel(eta_hat, tables)
+        seen[-1].append(result[-1].copy())
+        return result
+
+    monkeypatch.setattr(inference, "fista", fista_spy)
+    monkeypatch.setattr(inference, "grid_pass", kernel_spy)
+    return seen
+
+
 def test_ascent_rbar_is_batch_posterior_rbar_bit_for_bit(monkeypatch):
-    # the FISTA iterations take r-bar from the unnormalised pass; on the
-    # same inputs it must equal the r-bar of the full batch_posterior pass
+    # the FISTA iterations take r-bar from the unnormalised kernel pass; at
+    # the same codes it must equal the r-bar of the full batch_posterior pass
     model = small_model(50, d=12, L=3, k=3, n=2, noise_var=0.1, kappa_scale=1.0)
     cfg = tp.TrainConfig(image_dim=12, n_freq=3, n_atoms=3, torus_dim=2,
                          fista_steps=4, grid_size=9, noise_var=0.1)
     rng = np.random.default_rng(51)
     images = rng.uniform(0.05, 1, (5, 12))
     images /= np.linalg.norm(images, axis=1, keepdims=True)
-    seen = []
-    kernel = inference.posterior_pass
-
-    def spy(*args):
-        result = kernel(*args)
-        seen.append((args, result[-1]))
-        return result
-
-    monkeypatch.setattr(inference, "posterior_pass", spy)
+    seen = record_ascent(monkeypatch)
     infer_code_batch(images, model, cfg)
     assert len(seen) == cfg.fista_steps
-    for args, rbar in seen:
-        assert np.array_equal(batch_posterior(*args)[0].rbar, rbar)
+    problem = (images @ model.basis, model.basis.T @ model.dictionary,
+               natural_params(model.prior), model.noise_var, model.freq, cfg.grid_size)
+    for codes, rbar in seen:
+        want = batch_posterior(problem[0], codes, *problem[1:])[0].rbar
+        assert np.array_equal(want, rbar)
 
 
 def test_ascent_rbar_unfolds_to_batch_posterior_rbar_on_a_folding_table(monkeypatch):
     # rates with a negative last component fold, so the frame differs from
-    # block order: batch_posterior gets the spy's problem unfolded to block
-    # order, and its r-bar must equal the spy's r-bar unfolded, bit for bit
+    # block order: the kernel's r-bar unfolded must equal batch_posterior's
+    # r-bar at the same codes, bit for bit
     model = small_model(61, d=20, L=8, k=3, n=2, noise_var=0.1, sparsity=0.5,
                         kappa_scale=1.0)
     assert (model.freq.entries[:, -1] < 0).any()
@@ -373,25 +392,14 @@ def test_ascent_rbar_unfolds_to_batch_posterior_rbar_on_a_folding_table(monkeypa
     rng = np.random.default_rng(52)
     images = rng.uniform(0.05, 1, (5, 20))
     images /= np.linalg.norm(images, axis=1, keepdims=True)
-    seen = []
-    kernel = inference.posterior_pass
-
-    def spy(*args):
-        result = kernel(*args)
-        seen.append((args, result[-1]))
-        return result
-
-    monkeypatch.setattr(inference, "posterior_pass", spy)
+    seen = record_ascent(monkeypatch)
     infer_code_batch(images, model, cfg)
     assert len(seen) == cfg.fista_steps
-
-    def unfold(frame_pairs):
-        return _unfold(np.ascontiguousarray(frame_pairs).view(complex), tables)
-
-    for (v, codes, coupling, eta_prior, *rest), rbar in seen:
-        want = batch_posterior(unfold(v), codes, unfold(coupling.T).T,
-                               unfold(eta_prior), *rest)[0].rbar
-        assert np.array_equal(unfold(rbar), want)
+    problem = (images @ model.basis, model.basis.T @ model.dictionary,
+               natural_params(model.prior), model.noise_var, model.freq, cfg.grid_size)
+    for codes, rbar in seen:
+        want = batch_posterior(problem[0], codes, *problem[1:])[0].rbar
+        assert np.array_equal(_unfold(rbar.view(complex), tables), want)
         assert not np.array_equal(rbar, want)
 
 

@@ -20,7 +20,7 @@ from torusparse.stiefel import (
 from torusparse.training import (
     CHUNK_WEIGHTS,
     _batch_gradients,
-    _chunk_slices,
+    _tile_slices,
     init_model,
     train,
 )
@@ -139,15 +139,16 @@ def test_split_gradients_have_the_same_bytes_at_every_thread_count():
 
 def cap_chunked_training():
     """Two batches of 40 images at N = 100 and n = 2: the 1 MB weight cap
-    cuts each batch into 4 chunks at 1, 2 and 3 threads alike."""
+    cuts each batch into 4 tiles, grouped differently at 1, 2 and 3
+    threads."""
     cfg = tp.TrainConfig(batch_size=40, fista_steps=4, grid_size=100, epochs=1,
                          lr_dict=0.05, lr_basis=0.05, seed=2, torus_dim=2,
                          n_freq=4, n_atoms=3, image_dim=16, noise_var=0.05,
                          sparsity=0.5)
     rng = np.random.default_rng(8)
     data = tp.Dataset(images=rng.uniform(0.05, 1.0, (80, 16)), side=4)
-    chunks = {len(_chunk_slices(40, t, cfg.grid_size**2)) for t in THREADS}
-    assert 40 * cfg.grid_size**2 > 3 * CHUNK_WEIGHTS and chunks == {4}
+    assert 40 * cfg.grid_size**2 > 3 * CHUNK_WEIGHTS
+    assert len(_tile_slices(40, cfg.grid_size**2)) == 4
     return cfg, data
 
 

@@ -344,6 +344,29 @@ def test_batch_posterior_on_the_baseline_all_zero_table(scale):
     check_batch_posterior_against_direct(freq, 11, scale, 7)
 
 
+def test_batch_posterior_keeps_clear_of_subnormal_weights():
+    # images equal to their coded templates scaled to |u| = 7 at sigma^2 =
+    # 0.01 put thousands of nats between an image's peak and its trough:
+    # unclamped, exp(energy - max) gives subnormal weights and slows 10-15x
+    cfg = tp.TrainConfig(grid_size=100)
+    model = tp.init_model(cfg, 5)
+    rng = np.random.default_rng(6)
+    codes = rng.uniform(0, 1, (13, cfg.n_atoms))
+    coupling = model.basis.T @ model.dictionary
+    codes *= 7.0 / np.linalg.norm(codes @ coupling.T, axis=1, keepdims=True)
+    images_coeff = codes @ coupling.T
+    post, weights = batch_posterior(images_coeff, codes, coupling,
+                                    natural_params(model.prior), cfg.noise_var,
+                                    model.freq, cfg.grid_size)
+    assert weights.min() >= np.finfo(float).tiny
+    table = dense_grid_table(model.freq, cfg.grid_size)
+    energy = post.eta_hat @ table.T
+    assert (energy.max(axis=1) - energy.min(axis=1)).min() > 1000.0
+    want = np.exp(energy - energy.max(axis=1, keepdims=True))
+    want = want @ table / want.sum(axis=1, keepdims=True)
+    assert np.abs(post.rbar - want).max() <= 1e-12
+
+
 def test_grid_tables_hold_under_one_megabyte_at_paper_shape():
     # the separable factors replace a dense (N**n, 2L) table of 20.5 MB
     tables = grid_tables(frequency_table_auto(2, 128, 1), 100)

@@ -25,8 +25,8 @@ from torusparse.training import (
     _batch_gradients,
     _batch_gradients_approx,
     _batch_gradients_exact,
-    _chunk_slices,
     _infer_batch_threaded,
+    _tile_slices,
     basis_gradient,
     dictionary_gradient,
     init_model,
@@ -556,28 +556,65 @@ def test_threaded_training_builds_grid_table_once(monkeypatch):
     assert builds == [(cfg.torus_dim, cfg.grid_size)]
 
 
-@given(total=st.integers(1, 2000), workers=st.integers(1, 12),
-       grid_points=st.integers(1, 300_000))
-def test_chunk_slices_cover_rows_in_order_within_the_weight_cap(
-    total, workers, grid_points
-):
-    slices = _chunk_slices(total, workers, grid_points)
+@given(total=st.integers(1, 2000), grid_points=st.integers(1, 300_000))
+def test_tile_slices_cover_rows_in_order_within_the_weight_cap(total, grid_points):
+    slices = _tile_slices(total, grid_points)
     rows = [i for sl in slices for i in range(total)[sl]]
     assert rows == list(range(total))
-    assert len(slices) >= min(workers, total)
     for sl in slices:
         size = sl.stop - sl.start
         assert size == 1 or size * grid_points <= CHUNK_WEIGHTS
 
 
 def test_chunk_count_at_the_paper_shapes():
-    # training (B=100, N=50, n=2) keeps one chunk of 50 per thread
-    assert _chunk_slices(100, 2, 50**2) == [slice(0, 50), slice(50, 100)]
-    # evaluation at N=100 is chunked by the weight cap alone up to 8 threads
-    eval_chunks = _chunk_slices(100, 1, 100**2)
-    assert len(eval_chunks) == 8
-    for threads in range(2, 9):
-        assert _chunk_slices(100, threads, 100**2) == eval_chunks
+    # the tiles are the chunks the thread count used to set at T = 2:
+    # training (B=100, N=50, n=2) two of 50, evaluation at N=100 eight
+    # of 12 or 13
+    assert _tile_slices(100, 50**2) == [slice(0, 50), slice(50, 100)]
+    bounds = [0, 12, 25, 37, 50, 62, 75, 87, 100]
+    assert _tile_slices(100, 100**2) == [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+@settings(max_examples=25, deadline=None)
+@given(rows=st.integers(1, 30), n_grid=st.integers(2, 12),
+       weight_cap=st.integers(1, 600), seed=st.integers(0, 2**16))
+def test_threaded_inference_bits_do_not_depend_on_threads(rows, n_grid, weight_cap,
+                                                          seed):
+    """At 1 to 4 threads the groups differ but the tiles do not, and the
+    codes, rbar and peaks are those of one inference call per tile."""
+    from torusparse import training
+
+    cfg = tiny_config(torus_dim=2, n_freq=4, grid_size=n_grid)
+    model = init_model(cfg, seed)
+    rng = np.random.default_rng(seed)
+    images = normalize_batch(rng.uniform(0.05, 1.0, (rows, 16)))
+    inner = training.infer_code_batch
+    groups = []  # list.append is atomic across the inference threads
+
+    def spy(group_images, *args, tiles, **kwargs):
+        first = (group_images.ctypes.data - images.ctypes.data) // images.strides[0]
+        groups.append([slice(first + t.start, first + t.stop) for t in tiles])
+        return inner(group_images, *args, tiles=tiles, **kwargs)
+
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "CHUNK_WEIGHTS", weight_cap)
+        patch.setattr(training, "infer_code_batch", spy)
+        tiles = _tile_slices(rows, n_grid**2)
+        for threads in (1, 2, 3, 4):
+            groups.clear()
+            runs.append(_infer_batch_threaded(images, model, cfg, threads))
+            assert len(groups) == min(threads, len(tiles))
+            assert sorted((t for g in groups for t in g),
+                          key=lambda t: t.start) == tiles
+    alone = [tp.infer_code_batch(images[t], model, cfg) for t in tiles]
+    want = [np.concatenate([a[0] for a in alone])] + [
+        np.concatenate([getattr(a[1], name) for a in alone])
+        for name in ("rbar", "peak_index")]
+    for codes, post in runs:
+        assert codes.tobytes() == want[0].tobytes()
+        assert post.rbar.tobytes() == want[1].tobytes()
+        assert post.peak_index.tobytes() == want[2].tobytes()
 
 
 def one_batch_config(mode):
@@ -586,9 +623,11 @@ def one_batch_config(mode):
 
 
 def test_exact_training_batch_runs_one_posterior_pass_per_chunk(monkeypatch):
+    # one final pass per tile, with three tiles in two groups at two
+    # threads, and no second moment
     from torusparse import inference, posterior, training
 
-    calls = []  # list.append is atomic across the chunk threads
+    calls = []  # list.append is atomic across the inference threads
     for module in (posterior, inference, training):
         for name in ("batch_posterior", "rotation_second_moment"):
             if hasattr(module, name):
@@ -597,18 +636,22 @@ def test_exact_training_batch_runs_one_posterior_pass_per_chunk(monkeypatch):
                     return _inner(*args)
                 monkeypatch.setattr(module, name, spy)
     cfg = one_batch_config("exact")
+    monkeypatch.setattr(training, "CHUNK_WEIGHTS", 4 * cfg.grid_size**cfg.torus_dim)
     data = tiny_dataset(count=cfg.batch_size)
-    chunks = _chunk_slices(cfg.batch_size, 2, cfg.grid_size**cfg.torus_dim)
-    assert len(chunks) == 2
+    tiles = _tile_slices(cfg.batch_size, cfg.grid_size**cfg.torus_dim)
+    assert len(tiles) == 3
     _, log = train(init_model(cfg, 0), data, cfg, threads=2)
     assert len(log) == 1
-    assert calls == ["batch_posterior"] * len(chunks)
+    assert calls == ["batch_posterior"] * len(tiles)
 
 
-def test_threaded_inference_hands_out_each_chunks_projection():
-    """The projection buffer holds each chunk's own v = X B, bit for bit,
+def test_threaded_inference_hands_out_each_chunks_projection(monkeypatch):
+    """The projection buffer holds each tile's own v = X B, bit for bit,
     and passing it changes neither the codes nor the posterior."""
+    from torusparse import training
+
     cfg = tiny_config()
+    monkeypatch.setattr(training, "CHUNK_WEIGHTS", 3 * cfg.grid_size**cfg.torus_dim)
     model = init_model(cfg, 2)
     images = normalize_batch(tiny_dataset(seed=4, count=10).images)
     v = np.empty((10, model.basis.shape[1]))
@@ -616,8 +659,8 @@ def test_threaded_inference_hands_out_each_chunks_projection():
     want_codes, want_post = _infer_batch_threaded(images, model, cfg, 3)
     assert codes.tobytes() == want_codes.tobytes()
     assert post.rbar.tobytes() == want_post.rbar.tobytes()
-    slices = _chunk_slices(10, 3, cfg.grid_size**cfg.torus_dim)
-    assert len(slices) == 3
+    slices = _tile_slices(10, cfg.grid_size**cfg.torus_dim)
+    assert len(slices) == 4
     for sl in slices:
         assert v[sl].tobytes() == (images[sl] @ model.basis).tobytes()
     grads = _batch_gradients(images, codes, model, post.rbar, False, v=v)
@@ -688,16 +731,17 @@ def test_train_refuses_fewer_than_one_thread(tmp_path, threads):
 @pytest.mark.parametrize("threads, weight_cap", [(2, CHUNK_WEIGHTS), (1, 12 * 3)])
 def test_chunk_inference_never_runs_on_the_calling_thread(monkeypatch, threads,
                                                           weight_cap):
-    """With two or more chunks the calling thread only waits: a chunk of
-    its own would overlap the pool threads' chunks in time. Each chunk
-    sleeps first, so that one thread cannot take every chunk before a
-    calling thread that shares them out would take one."""
+    """With two or more tiles the calling thread only waits, whether they
+    form one group (one thread) or two: a group of its own would overlap
+    the pool threads' groups in time. Each group sleeps first, so that one
+    thread cannot take every group before a calling thread that shares
+    them out would take one."""
     import threading
     import time
 
     from torusparse import training
 
-    callers = []  # list.append is atomic across the chunk threads
+    callers = []  # list.append is atomic across the inference threads
     inner = training.infer_code_batch
 
     def spy(*args, **kwargs):
@@ -708,9 +752,10 @@ def test_chunk_inference_never_runs_on_the_calling_thread(monkeypatch, threads,
     monkeypatch.setattr(training, "infer_code_batch", spy)
     monkeypatch.setattr(training, "CHUNK_WEIGHTS", weight_cap)
     cfg = tiny_config()
+    n_grid = weight_cap // 3  # three images a tile at most
     images = normalize_batch(tiny_dataset(seed=6, count=8).images)
-    chunks = _chunk_slices(8, threads, cfg.grid_size**cfg.torus_dim)
-    assert len(chunks) >= 2
-    _infer_batch_threaded(images, init_model(cfg, 1), cfg, threads)
-    assert len(callers) == len(chunks)
+    tiles = _tile_slices(8, n_grid**cfg.torus_dim)
+    assert len(tiles) == 3
+    _infer_batch_threaded(images, init_model(cfg, 1), cfg, threads, n_grid=n_grid)
+    assert len(callers) == threads
     assert threading.get_ident() not in callers
