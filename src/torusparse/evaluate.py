@@ -8,10 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .inference import infer_code
+from .inference import infer_code, infer_code_batch
 from .posterior import map_estimate, map_estimate_batch
 from .torus import apply_transform, rotate_coeffs, rotate_pairs
-from .training import _infer_batch_threaded
 
 EVAL_GRID_SIZE = 100
 
@@ -46,9 +45,8 @@ def reconstruct_batch(images: np.ndarray, model, cfg,
     ``threads`` threads, as in training; the images are then regenerated
     in one batched pass.
     """
-    images = np.atleast_2d(np.asarray(images, dtype=float))
     basis = model.basis
-    codes, post = _infer_batch_threaded(images, model, cfg, threads, n_grid=n_grid)
+    codes, post = infer_code_batch(images, model, cfg, n_grid=n_grid, threads=threads)
     angles = map_estimate_batch(post)
     theta = angles @ model.freq.entries.T
     coeffs = (codes @ model.dictionary.T) @ basis
@@ -91,6 +89,9 @@ def latent_traversal(model, images, dim: int, s_from: float, s_to: float,
         raise ValueError(f"dim must be in 1..{model.freq.n}, got {dim}")
     if steps < 2:
         raise ValueError("steps must be >= 2")
+    for name, value in (("s_from", s_from), ("s_to", s_to)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     images = np.atleast_2d(np.asarray(images, dtype=float))
     if images.shape[-1] != model.dim:
         raise ValueError(f"expected vectors of length {model.dim}, got {images.shape[-1]}")
@@ -121,6 +122,9 @@ def export_grid(images, cols: int, path) -> None:
             raise ValueError("all images must share one square shape")
     if cols < 1:
         raise ValueError("cols must be >= 1")
+    for idx, tile in enumerate(tiles):
+        if not np.isfinite(tile).all():
+            raise ValueError(f"image {idx} to export holds a non-finite value")
     lo = min(t.min() for t in tiles)
     hi = max(t.max() for t in tiles)
     span = hi - lo

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from .lanes import check_threads
 from .posterior import (
     _blocks,
     _eta_from_coefficients,
@@ -112,44 +113,91 @@ def fista(gradient, init: np.ndarray, step: float, threshold: float, steps: int)
     return code
 
 
+# Most posterior weights (float64, 1 MB) one inference tile may hold, so
+# that tiles running at the same time stay small in memory.
+CHUNK_WEIGHTS = 131072
+
+
+def _tile_slices(total: int, grid_points: int):
+    """Even row slices, as few as keep each slice's (rows, grid_points)
+    posterior weights within CHUNK_WEIGHTS (a slice of one row may hold
+    more). They depend on the data alone, never on a thread count."""
+    rows = max(1, CHUNK_WEIGHTS // grid_points)
+    tiles = max(1, -(-total // rows))
+    bounds = np.linspace(0, total, tiles + 1).astype(int)
+    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+
+
 def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
-                     step: float | None = None, projection: np.ndarray | None = None,
-                     tiles: list | None = None):
-    """Run the full inference loop for a batch of images at once.
+                     threads: int = 1, projection: np.ndarray | None = None):
+    """MAP codes of a batch of images with the angles integrated out, for
+    training and evaluation alike; returns (codes, BatchPosterior at the
+    codes).
 
-    Works only on the 2L basis coefficients v = B^T x of the images and
-    u = B^T Phi a of the coded templates. Because B^T B = I, the
-    approximate ascent residual R^T B^T (x - B R u) equals R^T v - rho * u,
-    with R the expected rotation: ``_ascent_residual``.
+    The batch is cut into tiles fixed by the data (``_tile_slices``), and
+    each of min(threads, tiles) pool threads runs one FISTA loop,
+    ``_infer_tiles``, over a contiguous run of whole tiles while the
+    calling thread waits; a batch of one tile runs on the caller. Every
+    product whose rounding could depend on its row count (v = X B,
+    u = codes C^T, the grid passes, the gradient back . C / noise_var and
+    the final ``batch_posterior`` pass) runs once per tile, so the bits
+    depend on the tiles alone, never on ``threads``. The elementwise work
+    of an iteration (eta, the ascent residual, the prox, the momentum and
+    the finite check) runs once per loop, and the step size
+    (``fista_step_size``) once per call.
 
-    ``tiles``, row slices covering the batch in order (default: one tile
-    of every row), set the shape of every product whose rounding could
-    depend on its row count: v = X B, u = codes C^T, the grid passes, the
-    gradient back . C / noise_var and the final ``batch_posterior`` pass
-    each run once per tile, so a tile's bits are those of a batch of its
-    rows alone. The elementwise work of an iteration (eta, the ascent
-    residual, the prox, the momentum and the finite check) runs once over
-    the whole batch, so one FISTA loop serves every tile.
-
-    v, C = B^T Phi and the prior's eta are mapped once per call into the
+    The loops work only on the 2L basis coefficients v = B^T x of the
+    images and u = B^T Phi a of the coded templates. Because B^T B = I,
+    the approximate ascent residual R^T B^T (x - B R u) equals
+    R^T v - rho * u, with R the expected rotation: ``_ascent_residual``.
+    v, C = B^T Phi and the prior's eta are mapped once per loop into the
     half-spectrum frame of the grid table (``posterior._fold``), where the
     iterations run ``grid_pass``; the gradient needs no unfold, since
-    Re(conj(C) back) is the same in both frames. The ``batch_posterior``
-    pass at the final codes takes the block-order problem and forms
-    eta_hat, rbar, the normalised weights and their peaks. Returns (codes,
-    BatchPosterior at the codes). Vectorizing over the batch is the
-    deterministic realization of per-image parallelism: every reduction
-    happens in a fixed order. ``step`` is the FISTA step size, a function
-    of the model alone (``fista_step_size``); callers that split one batch
-    compute it once and pass it to each call. ``projection``, a
-    C-contiguous (B, 2L) float array, receives v = X B when given, so that
-    a caller can reuse it.
+    Re(conj(C) back) is the same in both frames. The final pass takes the
+    block-order problem and forms eta_hat, rbar, the normalised weights
+    and their peaks. ``projection``, a C-contiguous (B, 2L) float array,
+    receives v = X B when given, so that a caller can reuse it.
     """
+    check_threads(threads)
     images = np.atleast_2d(np.asarray(images, dtype=float))
     if images.shape[1] != model.basis.shape[0]:
         raise ValueError("image length does not match model dimension")
+    if images.shape[0] == 0:
+        raise ValueError("cannot infer codes for an empty batch of images")
     n_grid = cfg.grid_size if n_grid is None else n_grid
-    tiles = [slice(0, images.shape[0])] if tiles is None else tiles
+    tiles = _tile_slices(images.shape[0], n_grid**model.freq.n)
+    step = fista_step_size(model)  # shared by every group
+
+    def infer(group):
+        rows = slice(group[0].start, group[-1].stop)
+        return _infer_tiles(
+            images[rows], model, cfg, n_grid, step,
+            None if projection is None else projection[rows],
+            tiles=[slice(t.start - rows.start, t.stop - rows.start) for t in group])
+
+    if len(tiles) == 1:
+        return infer(tiles)
+    from concurrent.futures import ThreadPoolExecutor  # slow to import
+
+    # The groups run on pool threads while the calling thread only waits,
+    # not on ``Lanes``, where the caller would take a group too. Its own
+    # group would then run at the same time as a pool thread's, and a
+    # profile that adds the calling thread's self time to the wall time
+    # pool threads cover (the benchmark's check that self time accounts
+    # for the wall time) would count that overlap twice.
+    grid_tables(model.freq, n_grid)  # build them once, before the groups race
+    count = min(threads, len(tiles))
+    bounds = [len(tiles) * k // count for k in range(count + 1)]
+    groups = [tiles[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    with ThreadPoolExecutor(max_workers=count) as pool:
+        parts = list(pool.map(infer, groups))
+    codes = np.concatenate([p[0] for p in parts], axis=0)
+    return codes, concat_posteriors([p[1] for p in parts])
+
+
+def _infer_tiles(images, model, cfg, n_grid, step, projection, tiles):
+    """One FISTA loop over ``images`` in the row slices ``tiles``, at the
+    step size ``step``: the body of ``infer_code_batch``."""
     exact = cfg.grad_mode == "exact"
     if projection is None:
         projection = np.empty((images.shape[0], model.basis.shape[1]))
@@ -178,7 +226,6 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
             np.matmul(back[t], scaled, out=grad[t])
         return grad
 
-    step = fista_step_size(model) if step is None else step
     init = np.full((images.shape[0], model.dictionary.shape[1]), cfg.code_init)
     codes = fista(ascent, init, step, step * model.sparsity, cfg.fista_steps)
     post = concat_posteriors([

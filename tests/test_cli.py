@@ -374,6 +374,22 @@ class TestNonFiniteInputs:
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--from", "nan"), ("--to", "inf")])
+    def test_non_finite_traversal_end_is_exit_2_without_a_file(self, tmp_path, capsys,
+                                                               flag, value):
+        from conftest import small_model
+
+        model = small_model(0, d=16, L=3, k=2, n=1)
+        ckpt, data, out = tmp_path / "m.ckpt", tmp_path / "d.ds", tmp_path / "s.pgm"
+        save_checkpoint(model, ckpt)
+        save_checkpoint(model, data, dataset=tp.Dataset(
+            images=np.random.default_rng(0).uniform(0.1, 1.0, (4, 16)), side=4))
+        assert main(["traverse", "--ckpt", str(ckpt), "--data", str(data), "--dim", "1",
+                     "--steps", "3", flag, value, "--out", str(out)]) == 2
+        name = "s_from" if flag == "--from" else "s_to"
+        assert f"{name} must be finite, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, message", [
         ("lambda = nan", "sparsity must be finite, got nan"),
         ("lambda = inf", "sparsity must be finite, got inf"),

@@ -13,8 +13,8 @@ from torusparse.evaluate import (
     reconstruct_batch,
     snr,
 )
+from torusparse.inference import _tile_slices
 from torusparse.torus import TWO_PI, apply_transform
-from torusparse.training import _tile_slices
 
 from conftest import bandlimit, dft_shift_operator, small_model
 
@@ -242,6 +242,17 @@ class TestExportGrid:
         export_grid([np.full((2, 2), 0.7)], cols=1, path=path)
         assert (read_pgm(path) == 0).all()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tile_is_refused_by_name_before_writing(self, tmp_path, bad):
+        # a NaN makes the min-max span NaN, and every tile would be
+        # quantized to black
+        path = tmp_path / "bad.pgm"
+        tiles = [np.ones((2, 2)), np.full((2, 2), 0.5)]
+        tiles[1][0, 1] = bad
+        with pytest.raises(ValueError, match="image 1 to export holds a non-finite"):
+            export_grid(tiles, cols=2, path=path)
+        assert not path.exists()
+
 
 def test_reconstruct_batch_matches_single():
     model = small_model(15, d=12, L=3, k=3, n=1, sparsity=0.5)
@@ -317,7 +328,7 @@ def test_threaded_eval_builds_grid_table_once(monkeypatch):
 
 
 def test_step_size_computed_once_for_eight_chunks(monkeypatch):
-    from torusparse import inference, training
+    from torusparse import inference
 
     model, cfg, _ = cap_chunked_case()
     rng = np.random.default_rng(23)
@@ -337,7 +348,6 @@ def test_step_size_computed_once_for_eight_chunks(monkeypatch):
         return step_size(m)
 
     monkeypatch.setattr(inference, "fista_step_size", counted)
-    monkeypatch.setattr(training, "fista_step_size", counted)
     batch = reconstruct_batch(images, model, cfg, threads=2)
     assert calls == [model]
     np.testing.assert_array_equal(np.stack([r.code for r in batch]), unshared)
@@ -384,10 +394,30 @@ def test_latent_traversal_runs_no_gram_check(monkeypatch):
     assert sweep.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("s_from, s_to, name", [
+    (math.nan, 1.0, "s_from"), (0.0, math.inf, "s_to"), (-math.inf, 0.0, "s_from"),
+])
+def test_latent_traversal_refuses_a_non_finite_end_by_name(s_from, s_to, name):
+    model = small_model(7, n=2)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        latent_traversal(model, np.ones((1, 12)), 1, s_from, s_to, 3)
+
+
 def test_latent_traversal_names_a_length_mismatch():
     model = small_model(7, n=2)
     with pytest.raises(ValueError, match="length 12, got 10"):
         latent_traversal(model, np.ones((1, 10)), 1, 0, 1, 2)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_empty_batch_is_refused_by_name(threads):
+    # an empty batch has no tiles to share out among the threads
+    model, cfg, images = cap_chunked_case()
+    empty = np.zeros((0, images.shape[1]))
+    with pytest.raises(ValueError, match="empty batch"):
+        tp.infer_code_batch(empty, model, cfg, threads=threads)
+    with pytest.raises(ValueError, match="empty batch"):
+        reconstruct_batch(empty, model, cfg, threads=threads)
 
 
 @pytest.mark.parametrize("threads", [0, -3])

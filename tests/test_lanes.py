@@ -17,13 +17,8 @@ from torusparse.stiefel import (
     riemannian_adam_step,
     tangent_project,
 )
-from torusparse.training import (
-    CHUNK_WEIGHTS,
-    _batch_gradients,
-    _tile_slices,
-    init_model,
-    train,
-)
+from torusparse.inference import CHUNK_WEIGHTS, _tile_slices
+from torusparse.training import _batch_gradients, init_model, train
 
 THREADS = (1, 2, 3)
 

@@ -13,6 +13,7 @@ from torusparse.posterior import (
     posterior_natural_params,
 )
 from torusparse.datasets import normalize_batch
+from torusparse.inference import CHUNK_WEIGHTS, _tile_slices
 from torusparse.stiefel import (
     StiefelAdamState,
     phi_update,
@@ -20,13 +21,10 @@ from torusparse.stiefel import (
     tangent_project,
 )
 from torusparse.training import (
-    CHUNK_WEIGHTS,
     BaselineState,
     _batch_gradients,
     _batch_gradients_approx,
     _batch_gradients_exact,
-    _infer_batch_threaded,
-    _tile_slices,
     basis_gradient,
     dictionary_gradient,
     init_model,
@@ -582,13 +580,13 @@ def test_threaded_inference_bits_do_not_depend_on_threads(rows, n_grid, weight_c
                                                           seed):
     """At 1 to 4 threads the groups differ but the tiles do not, and the
     codes, rbar and peaks are those of one inference call per tile."""
-    from torusparse import training
+    from torusparse import inference
 
     cfg = tiny_config(torus_dim=2, n_freq=4, grid_size=n_grid)
     model = init_model(cfg, seed)
     rng = np.random.default_rng(seed)
     images = normalize_batch(rng.uniform(0.05, 1.0, (rows, 16)))
-    inner = training.infer_code_batch
+    inner = inference._infer_tiles
     groups = []  # list.append is atomic across the inference threads
 
     def spy(group_images, *args, tiles, **kwargs):
@@ -598,12 +596,12 @@ def test_threaded_inference_bits_do_not_depend_on_threads(rows, n_grid, weight_c
 
     runs = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(training, "CHUNK_WEIGHTS", weight_cap)
-        patch.setattr(training, "infer_code_batch", spy)
+        patch.setattr(inference, "CHUNK_WEIGHTS", weight_cap)
+        patch.setattr(inference, "_infer_tiles", spy)
         tiles = _tile_slices(rows, n_grid**2)
         for threads in (1, 2, 3, 4):
             groups.clear()
-            runs.append(_infer_batch_threaded(images, model, cfg, threads))
+            runs.append(tp.infer_code_batch(images, model, cfg, threads=threads))
             assert len(groups) == min(threads, len(tiles))
             assert sorted((t for g in groups for t in g),
                           key=lambda t: t.start) == tiles
@@ -636,7 +634,7 @@ def test_exact_training_batch_runs_one_posterior_pass_per_chunk(monkeypatch):
                     return _inner(*args)
                 monkeypatch.setattr(module, name, spy)
     cfg = one_batch_config("exact")
-    monkeypatch.setattr(training, "CHUNK_WEIGHTS", 4 * cfg.grid_size**cfg.torus_dim)
+    monkeypatch.setattr(inference, "CHUNK_WEIGHTS", 4 * cfg.grid_size**cfg.torus_dim)
     data = tiny_dataset(count=cfg.batch_size)
     tiles = _tile_slices(cfg.batch_size, cfg.grid_size**cfg.torus_dim)
     assert len(tiles) == 3
@@ -648,15 +646,15 @@ def test_exact_training_batch_runs_one_posterior_pass_per_chunk(monkeypatch):
 def test_threaded_inference_hands_out_each_chunks_projection(monkeypatch):
     """The projection buffer holds each tile's own v = X B, bit for bit,
     and passing it changes neither the codes nor the posterior."""
-    from torusparse import training
+    from torusparse import inference
 
     cfg = tiny_config()
-    monkeypatch.setattr(training, "CHUNK_WEIGHTS", 3 * cfg.grid_size**cfg.torus_dim)
+    monkeypatch.setattr(inference, "CHUNK_WEIGHTS", 3 * cfg.grid_size**cfg.torus_dim)
     model = init_model(cfg, 2)
     images = normalize_batch(tiny_dataset(seed=4, count=10).images)
     v = np.empty((10, model.basis.shape[1]))
-    codes, post = _infer_batch_threaded(images, model, cfg, 3, projection=v)
-    want_codes, want_post = _infer_batch_threaded(images, model, cfg, 3)
+    codes, post = tp.infer_code_batch(images, model, cfg, threads=3, projection=v)
+    want_codes, want_post = tp.infer_code_batch(images, model, cfg, threads=3)
     assert codes.tobytes() == want_codes.tobytes()
     assert post.rbar.tobytes() == want_post.rbar.tobytes()
     slices = _tile_slices(10, cfg.grid_size**cfg.torus_dim)
@@ -739,23 +737,23 @@ def test_chunk_inference_never_runs_on_the_calling_thread(monkeypatch, threads,
     import threading
     import time
 
-    from torusparse import training
+    from torusparse import inference
 
     callers = []  # list.append is atomic across the inference threads
-    inner = training.infer_code_batch
+    inner = inference._infer_tiles
 
     def spy(*args, **kwargs):
         callers.append(threading.get_ident())
         time.sleep(0.02)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(training, "infer_code_batch", spy)
-    monkeypatch.setattr(training, "CHUNK_WEIGHTS", weight_cap)
+    monkeypatch.setattr(inference, "_infer_tiles", spy)
+    monkeypatch.setattr(inference, "CHUNK_WEIGHTS", weight_cap)
     cfg = tiny_config()
     n_grid = weight_cap // 3  # three images a tile at most
     images = normalize_batch(tiny_dataset(seed=6, count=8).images)
     tiles = _tile_slices(8, n_grid**cfg.torus_dim)
     assert len(tiles) == 3
-    _infer_batch_threaded(images, init_model(cfg, 1), cfg, threads, n_grid=n_grid)
+    tp.infer_code_batch(images, init_model(cfg, 1), cfg, n_grid=n_grid, threads=threads)
     assert len(callers) == threads
     assert threading.get_ident() not in callers
