@@ -137,14 +137,14 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
     The batch is cut into tiles fixed by the data (``_tile_slices``), and
     each of min(threads, tiles) pool threads runs one FISTA loop,
     ``_infer_tiles``, over a contiguous run of whole tiles while the
-    calling thread waits; a batch of one tile runs on the caller. Every
-    product whose rounding could depend on its row count (v = X B,
-    u = codes C^T, the grid passes, the gradient back . C / noise_var and
-    the final ``batch_posterior`` pass) runs once per tile, so the bits
-    depend on the tiles alone, never on ``threads``. The elementwise work
-    of an iteration (eta, the ascent residual, the prox, the momentum and
-    the finite check) runs once per loop, and the step size
-    (``fista_step_size``) once per call.
+    calling thread waits; a batch of one group (one tile, or one thread)
+    runs on the caller. Every product whose rounding could depend on its
+    row count (v = X B, u = codes C^T, the grid passes, the gradient
+    back . C / noise_var and the final ``batch_posterior`` pass) runs once
+    per tile, so the bits depend on the tiles alone, never on
+    ``threads``. The elementwise work of an iteration (eta, the ascent
+    residual, the prox, the momentum and the finite check) runs once per
+    loop, and the step size (``fista_step_size``) once per call.
 
     The loops work only on the 2L basis coefficients v = B^T x of the
     images and u = B^T Phi a of the coded templates. Because B^T B = I,
@@ -175,7 +175,8 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
             None if projection is None else projection[rows],
             tiles=[slice(t.start - rows.start, t.stop - rows.start) for t in group])
 
-    if len(tiles) == 1:
+    count = min(threads, len(tiles))
+    if count == 1:
         return infer(tiles)
     from concurrent.futures import ThreadPoolExecutor  # slow to import
 
@@ -186,7 +187,6 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
     # pool threads cover (the benchmark's check that self time accounts
     # for the wall time) would count that overlap twice.
     grid_tables(model.freq, n_grid)  # build them once, before the groups race
-    count = min(threads, len(tiles))
     bounds = [len(tiles) * k // count for k in range(count + 1)]
     groups = [tiles[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     with ThreadPoolExecutor(max_workers=count) as pool:

@@ -4,7 +4,7 @@ Checkpoint layout (all little-endian):
 
     magic "LSC1" | version u16 | flags u16
     D, K, L, n, m, N as u32
-    frequency table  L*n   int32, row-major
+    frequency table  L*n   int32, row-major (saving refuses wider values)
     basis            D*2L  float64, column-major
     dictionary       D*K   float64, column-major
     kappa, mu        L each, float64
@@ -57,6 +57,21 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration file."""
 
 
+def _check_widths(header: dict, entries: Optional[np.ndarray] = None) -> None:
+    """Raise CheckpointError naming the first header field (u32) or
+    frequency entry (int32) whose value its stored width cannot hold."""
+    for name, value in header.items():
+        if not 0 <= value <= 0xFFFFFFFF:
+            raise CheckpointError(f"header field {name} is {value}; a checkpoint "
+                                  f"stores it as u32 (0 to 4294967295)")
+    if entries is not None:
+        bad = np.argwhere((entries < -(2**31)) | (entries >= 2**31))
+        if bad.size:
+            row, col = bad[0].tolist()
+            raise CheckpointError(f"frequency entry [{row}, {col}] is {entries[row, col]}; "
+                                  f"a checkpoint stores it as int32")
+
+
 def save_checkpoint(model: ModelParams, path, n_grid: int = 50,
                     dataset: Optional[Dataset] = None) -> None:
     """Serialize model (and optionally a dataset) to the container format."""
@@ -65,6 +80,8 @@ def save_checkpoint(model: ModelParams, path, n_grid: int = 50,
     k = model.dictionary.shape[1]
     if n_grid < 2:
         raise CheckpointError(f"grid size N is {n_grid}; must be >= 2")
+    _check_widths({"D": d, "K": k, "L": L, "n": model.freq.n,
+                  "m": model.freq.multiplicity, "N": n_grid}, model.freq.entries)
     flags = FLAG_DATASET if dataset is not None else 0
     # Each part goes to the file through the buffer protocol: arrays already
     # in the stored dtype and order are written without a copy, and the
@@ -244,6 +261,8 @@ def parse_config(path) -> TrainConfig:
                 raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     try:
         cfg.validate()
+        _check_widths({key: getattr(cfg, CONFIG_KEYS[key])
+                      for key in ("D", "K", "L", "n", "m", "N")})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torus import TWO_PI, FrequencyTable
+from .torus import TWO_PI, FrequencyTable, grid_lattice
 
 GRID_POINT_LIMIT = 10_000_000
 # Images per pass of ``rotation_second_moment``: each pass gathers
@@ -68,10 +68,11 @@ def natural_params(prior: TorusPrior) -> np.ndarray:
     return eta
 
 
-def grid_lattice(n: int, N: int) -> np.ndarray:
-    """Integer lattice of all grid multi-indices, C-order flattened, shape (N**n, n)."""
-    axes = np.meshgrid(*([np.arange(N)] * n), indexing="ij")
-    return np.stack(axes, axis=-1).reshape(-1, n)
+def check_grid_points(n: int, N: int) -> None:
+    """Raise ValueError if the grid's N**n points exceed GRID_POINT_LIMIT."""
+    points = N**n if n < 64 else math.inf  # not formed: over the limit at any N >= 2
+    if points > GRID_POINT_LIMIT:
+        raise ValueError(f"grid has {points} points; limit is {GRID_POINT_LIMIT} (n={n}, N={N})")
 
 
 def grid_tables(freq: FrequencyTable, N: int) -> tuple:
@@ -103,11 +104,7 @@ def grid_tables(freq: FrequencyTable, N: int) -> tuple:
     """
     if N < 2:
         raise ValueError("grid size N must be >= 2")
-    if N**freq.n > GRID_POINT_LIMIT:
-        raise ValueError(
-            f"grid has {N**freq.n} points; limit is {GRID_POINT_LIMIT} "
-            f"(n={freq.n}, N={N})"
-        )
+    check_grid_points(freq.n, N)
     key = freq.cache_key() + (N,)
     hit = _TABLE_CACHE.get(key)
     if hit is not None:

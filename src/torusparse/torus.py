@@ -9,7 +9,6 @@ is always applied blockwise, never materialized as a dense matrix.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +19,8 @@ from .stiefel import orthonormality_error
 TWO_PI = 2.0 * math.pi
 
 ORTHONORMALITY_TOL = 1e-8
+# Most candidate vectors a table build enumerates (n = 12 at max_norm = 1).
+LATTICE_POINT_LIMIT = 2**20
 
 
 def wrap_angles(s: np.ndarray) -> np.ndarray:
@@ -27,12 +28,19 @@ def wrap_angles(s: np.ndarray) -> np.ndarray:
     return np.mod(np.asarray(s, dtype=float), TWO_PI)
 
 
-def _is_canonical(vec) -> bool:
-    # Canonical sign: first nonzero component positive; zero vector passes.
-    for x in vec:
-        if x != 0:
-            return x > 0
-    return True
+def grid_lattice(n: int, N: int) -> np.ndarray:
+    """Integer lattice of all grid multi-indices, C-order flattened, shape (N**n, n)."""
+    return np.indices((N,) * n).reshape(n, -1).T
+
+
+def _leading(ent: np.ndarray) -> np.ndarray:
+    """First nonzero component of each row (0 for a zero row): canonical sign is its sign."""
+    return ent[np.arange(ent.shape[0]), (ent != 0).argmax(axis=1)]
+
+
+def _norm_lex_order(ent: np.ndarray) -> np.ndarray:
+    """Stable order of the rows by (int64 squared norm, lexicographic): arange(L) if sorted."""
+    return np.lexsort((*ent.T[::-1], np.einsum("ij,ij->i", ent, ent)))
 
 
 def canonical_count(n: int, max_norm: int, include_zero: bool = True) -> int:
@@ -79,18 +87,10 @@ def validate_frequency_table(freq: FrequencyTable) -> None:
         raise ValueError("frequency table shape mismatch")
     if freq.multiplicity < 1:
         raise ValueError("multiplicity must be >= 1")
-    rows = np.arange(freq.L)
-    nonzero = ent != 0
-    leading = ent[rows, nonzero.argmax(axis=1)]  # 0 for a zero vector
-    if (leading < 0).any():
-        bad = ent[(leading < 0).argmax()]
-        raise ValueError(f"entry {bad.tolist()} violates canonical sign")
-    # Adjacent rows must rise in (squared norm, lexicographic order); the
-    # squared norms wrap in int64 exactly as a per-row dot product would.
-    norms = np.einsum("ij,ij->i", ent, ent)
-    first_diff = (ent[1:] != ent[:-1]).argmax(axis=1)
-    lex_up = ent[rows[1:], first_diff] >= ent[rows[:-1], first_diff]
-    if not ((norms[:-1] < norms[1:]) | ((norms[:-1] == norms[1:]) & lex_up)).all():
+    negative = _leading(ent) < 0
+    if negative.any():
+        raise ValueError(f"entry {ent[negative.argmax()].tolist()} violates canonical sign")
+    if (_norm_lex_order(ent) != np.arange(freq.L)).any():
         raise ValueError("entries not sorted by (norm, lexicographic)")
     # Sorted, so m + 1 copies of a vector sit in a run: row i repeats one
     # too many when it equals row i - m.
@@ -106,10 +106,11 @@ def build_frequency_table(
 ) -> FrequencyTable:
     """Enumerate, sort, and truncate the block rate vectors.
 
-    All integer vectors with sup norm <= max_norm are listed in canonical
-    sign, sorted by (Euclidean norm, lexicographic order), repeated m
-    times each, and cut to exactly L entries. Raises if max_norm yields
-    fewer than ceil(L / m) canonical vectors, naming a bound that would.
+    Row i of the table is vector i // m of the canonical vectors in the
+    lattice [-max_norm, max_norm]^n, sorted by (Euclidean norm,
+    lexicographic order). Raises if max_norm yields fewer than ceil(L / m)
+    canonical vectors, naming a bound that would, or if the lattice has
+    more than LATTICE_POINT_LIMIT points.
     """
     if n < 1 or L < 1 or m < 1:
         raise ValueError("n, L, m must all be >= 1")
@@ -124,17 +125,15 @@ def build_frequency_table(
             f"max_norm={max_norm} yields too few canonical vectors for "
             f"L={L}, m={m}; max_norm >= {bound} required"
         )
-    cands = []
-    for vec in itertools.product(range(-max_norm, max_norm + 1), repeat=n):
-        if not any(vec):
-            if include_zero:
-                cands.append(vec)
-            continue
-        if _is_canonical(vec):
-            cands.append(vec)
-    cands.sort(key=lambda v: (sum(x * x for x in v), v))
-    repeated = [v for v in cands for _ in range(m)]
-    return FrequencyTable(n=n, entries=np.array(repeated[:L], dtype=np.int64), multiplicity=m)
+    if (2 * max_norm + 1) ** n > LATTICE_POINT_LIMIT:
+        raise ValueError(f"n={n}, max_norm={max_norm}: lattice of {(2 * max_norm + 1) ** n} "
+                         f"vectors exceeds LATTICE_POINT_LIMIT={LATTICE_POINT_LIMIT}")
+    lattice = grid_lattice(n, 2 * max_norm + 1)
+    lattice -= max_norm
+    leading = _leading(lattice)
+    cands = lattice[(leading > 0) | ((leading == 0) & include_zero)]
+    rows = _norm_lex_order(cands)[np.arange(L) // m]
+    return FrequencyTable(n=n, entries=cands[rows], multiplicity=m)
 
 
 def frequency_table_auto(

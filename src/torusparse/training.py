@@ -21,7 +21,7 @@ import numpy as np
 from .datasets import normalize_batch
 from .inference import _ascent_residual, fista, infer_code_batch, spectral_norm
 from .lanes import Lanes, run, split
-from .posterior import TorusPrior, _blocks, rotation_second_moment
+from .posterior import TorusPrior, _blocks, check_grid_points, rotation_second_moment
 from .stiefel import StiefelAdamState, phi_update, positive_qr, riemannian_adam_step
 from .torus import (
     FrequencyTable,
@@ -125,6 +125,7 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.grid_size < 2:
             raise ValueError("grid_size must be >= 2")
+        check_grid_points(self.torus_dim, self.grid_size)
         if self.sparsity < 0:
             raise ValueError("sparsity must be nonnegative")
         if self.seed < 0:

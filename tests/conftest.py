@@ -6,6 +6,7 @@ than the library: posterior weights from the residual-form joint density
 for spectral norms, explicit index rolls for shifts.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -40,7 +41,7 @@ from torusparse.stiefel import (
     positive_qr,
     tangent_project,
 )
-from torusparse.torus import TWO_PI, rotate_pairs
+from torusparse.torus import TWO_PI, canonical_count, rotate_pairs
 
 DESK_SIDE = 16
 
@@ -308,6 +309,42 @@ def oracle_validate_frequency_table(freq: FrequencyTable) -> None:
         counts[tup] = counts.get(tup, 0) + 1
         if counts[tup] > freq.multiplicity:
             raise ValueError(f"entry {tup} repeated more than m={freq.multiplicity}")
+
+
+def oracle_build_frequency_table(n, L, m, max_norm, include_zero=True):
+    """Per-vector form of ``build_frequency_table``: every vector of the
+    lattice in turn, kept in canonical sign, sorted by a Python key,
+    listed m times each and cut to L, with the same messages."""
+    if n < 1 or L < 1 or m < 1:
+        raise ValueError("n, L, m must all be >= 1")
+    if max_norm < 0:
+        raise ValueError("max_norm must be >= 0")
+    needed = -(-L // m)
+    if canonical_count(n, max_norm, include_zero) < needed:
+        bound = max_norm + 1
+        while canonical_count(n, bound, include_zero) < needed:
+            bound += 1
+        raise ValueError(
+            f"max_norm={max_norm} yields too few canonical vectors for "
+            f"L={L}, m={m}; max_norm >= {bound} required"
+        )
+    cands = []
+    for vec in itertools.product(range(-max_norm, max_norm + 1), repeat=n):
+        leading = next((x for x in vec if x != 0), 0)
+        if leading > 0 or (leading == 0 and include_zero):
+            cands.append(vec)
+    cands.sort(key=lambda v: (sum(x * x for x in v), v))
+    repeated = [v for v in cands for _ in range(m)]
+    return FrequencyTable(n=n, entries=np.array(repeated[:L], dtype=np.int64), multiplicity=m)
+
+
+def oracle_frequency_table_auto(n, L, m, include_zero=True):
+    """``frequency_table_auto`` on the per-vector builder."""
+    needed = -(-L // m)
+    bound = 1
+    while canonical_count(n, bound, include_zero) < needed:
+        bound *= 2
+    return oracle_build_frequency_table(n, L, m, bound, include_zero)
 
 
 def scalar_offsets(model):

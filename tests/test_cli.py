@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import torusparse as tp
-from torusparse import datasets
+from torusparse import cli, datasets
 from torusparse.cli import BLAS_THREAD_VARIABLES, _build_parser, _placeholder_model, main
 from torusparse.io import load_checkpoint_full, save_checkpoint
 
@@ -322,6 +322,69 @@ def model_with_images(tmp_path, images):
     save_checkpoint(small_model(0, d=16, L=3, k=2, n=1), path,
                     dataset=tp.Dataset(images=images, side=4))
     return path
+
+
+def _cli_case(tmp_path, name):
+    """Arguments of a command that must be refused, and the file it must not write."""
+    from types import SimpleNamespace
+
+    from conftest import small_model
+
+    out = tmp_path / "out.file"
+    if name == "gen-data-odd":
+        templates = tmp_path / "three.idx"
+        write_idx_images(templates, np.full((2, 3, 3), 128))
+        return ["gen-data", "--kind", "translate2d", "--templates", str(templates),
+                "--count-per-template", "2", "--seed", "0", "--out", str(out)], out
+    if name == "take-0":
+        data = model_with_images(tmp_path, np.full((3, 16), 0.5))
+        return ["reconstruct", "--ckpt", str(data), "--data", str(data), "--take", "0",
+                "--out", str(out)], out
+    ckpt = tmp_path / "d12.ckpt"
+    if name == "export-w-not-square":
+        save_checkpoint(small_model(0, d=12, L=3, k=2, n=1), ckpt)
+        return ["export-w", "--ckpt", str(ckpt), "--cols", "2", "--out", str(out)], out
+    # a dataset section of 12-pixel images, which no square side holds
+    save_checkpoint(small_model(0, d=12, L=3, k=2, n=1), ckpt,
+                    dataset=SimpleNamespace(images=np.full((2, 12), 0.5)))
+    return ["eval", "--ckpt", str(ckpt), "--data", str(ckpt)], out
+
+
+@pytest.mark.parametrize("name, message", [
+    ("gen-data-odd", "image dimension 9 is odd; sides must be even"),
+    ("take-0", "--take must select at least one image"),
+    ("export-w-not-square", "basis rows do not form square images"),
+    ("dataset-not-square", "dataset dimension 12 is not a square"),
+])
+def test_refusals_are_exit_2_by_name(tmp_path, capsys, name, message):
+    argv, out = _cli_case(tmp_path, name)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, message, reads_data", [
+    ("m = 4294967296", "header field m is 4294967296; a checkpoint stores it as u32",
+     False),
+    ("n = 5\nN = 50", "grid has 312500000 points; limit is 10000000 (n=5, N=50)", False),
+    ("n = 20\nN = 2", "n=20, max_norm=1: lattice of 3486784401 vectors exceeds "
+     "LATTICE_POINT_LIMIT=1048576", True),
+], ids=["m-width", "grid", "lattice"])
+def test_train_refusals_write_no_checkpoint_and_no_log(tmp_path, deskaux, capsys,
+                                                      lines, message, reads_data):
+    config, data = deskaux
+    config.write_text(config.read_text() + lines + "\n")
+    out = tmp_path / "refused.ckpt"
+    capsys.readouterr()
+    with mock.patch.object(cli, "_load_dataset", wraps=cli._load_dataset) as load:
+        rc = main(["train", "--config", str(config), "--data", str(data),
+                   "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert load.called == reads_data
+    assert not out.exists()
+    assert not (tmp_path / "refused.ckpt.log").exists()
 
 
 def test_train_then_eval_cache_one_grid_table_per_grid(tmp_path, deskaux, monkeypatch):

@@ -97,6 +97,20 @@ class TestIdx:
             load_idx_labels(path)
 
 
+@pytest.mark.parametrize("blob, message", [
+    (b"", "header truncated: 0 bytes, need 8"),
+    (struct.pack(">I", 0x00000801) + b"\x00", "header truncated: 5 bytes, need 8"),
+    (struct.pack(">II", 0x00000801, 3) + bytes(2), "label payload length mismatch at byte 10"),
+    (struct.pack(">II", 0x00000801, 3) + bytes(4), "label payload length mismatch at byte 12"),
+], ids=["empty", "short-header", "short-payload", "long-payload"])
+def test_label_file_refusals_name_their_cause(tmp_path, blob, message):
+    path = tmp_path / "labels.idx"
+    path.write_bytes(blob)
+    with pytest.raises(IdxFormatError) as info:
+        load_idx_labels(path)
+    assert str(info.value) == message
+
+
 class TestWarpTranslate:
     def test_identity(self):
         rng = np.random.default_rng(0)

@@ -202,6 +202,20 @@ class TestLatentTraversal:
 
 
 class TestExportGrid:
+    @pytest.mark.parametrize("tiles, cols, message", [
+        ([], 1, "no images to export"),
+        ([np.ones((2, 2)), np.ones((3, 3))], 2, "all images must share one square shape"),
+        ([np.ones((2, 3))], 1, "all images must share one square shape"),
+        ([np.ones((2, 2))], 0, "cols must be >= 1"),
+    ], ids=["no-images", "mixed-shapes", "not-square", "no-columns"])
+    def test_refusals_name_their_cause_before_writing(self, tmp_path, tiles, cols,
+                                                       message):
+        path = tmp_path / "refused.pgm"
+        with pytest.raises(ValueError) as info:
+            export_grid(tiles, cols=cols, path=path)
+        assert str(info.value) == message
+        assert not path.exists()
+
     def test_single_tile_header_and_payload(self, tmp_path):
         path = tmp_path / "one.pgm"
         export_grid([np.array([[0.0, 1.0], [0.5, 0.25]])], cols=1, path=path)

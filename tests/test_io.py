@@ -260,6 +260,24 @@ class TestCheckpointScalars:
             load_checkpoint_full(path)
 
 
+@pytest.mark.parametrize("entries, m, message", [
+    ([[2**32 + 2]], 1, "frequency entry [0, 0] is 4294967298; a checkpoint stores it as int32"),
+    ([[0], [2**31]], 1, "frequency entry [1, 0] is 2147483648"),
+    ([[1]], 2**32, "header field m is 4294967296; a checkpoint stores it as u32"),
+], ids=["rate-2^32+2", "rate-2^31", "m-2^32"])
+def test_out_of_width_values_are_refused_before_writing(tmp_path, entries, m, message):
+    # int32 and u32 would keep only the low bits: rate 2^32 + 2 would load
+    # as rate 2, a different valid model
+    model = small_model(0, d=4, L=len(entries), k=1, n=1)
+    model.freq = tp.FrequencyTable(n=1, entries=np.array(entries), multiplicity=m)
+    model.validate()
+    path = tmp_path / "wide.ckpt"
+    with pytest.raises(CheckpointError) as info:
+        save_checkpoint(model, path)
+    assert message in str(info.value)
+    assert not path.exists()
+
+
 def test_torus_dimension_zero_rejected(tmp_path):
     model = small_model(0, d=16, L=3, k=2, n=1)
     model.freq = tp.FrequencyTable(n=0, entries=np.zeros((3, 0), dtype=np.int64),
@@ -376,6 +394,25 @@ class TestParseConfig:
         path.write_text(line + "\n")
         with pytest.raises(ConfigError, match=message):
             parse_config(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("N = 1", "grid_size must be >= 2"),
+        ("lambda = -1", "sparsity must be nonnegative"),
+        ("seed = -1", "seed must be nonnegative"),
+        ("grad_mode = fast", "grad_mode must be exact|approximate, got 'fast'"),
+        ("include_zero = maybe", "line 1: bad value for include_zero: not a boolean: 'maybe'"),
+        ("n = 5\nN = 50", "grid has 312500000 points; limit is 10000000 (n=5, N=50)"),
+        ("n = 100000\nN = 2", "grid has inf points; limit is 10000000 (n=100000, N=2)"),
+        ("m = 4294967296", "header field m is 4294967296; a checkpoint stores it as u32"),
+        ("D = 4294967296", "header field D is 4294967296; a checkpoint stores it as u32"),
+    ], ids=["N", "lambda", "seed", "grad_mode", "include_zero", "grid", "wide-grid",
+            "m-width", "D-width"])
+    def test_refusals_name_their_cause(self, tmp_path, text, message):
+        path = tmp_path / "r.cfg"
+        path.write_text(text + "\n")
+        with pytest.raises(ConfigError) as info:
+            parse_config(path)
+        assert message in str(info.value)
 
     def test_grad_mode_and_flags(self, tmp_path):
         path = tmp_path / "g.cfg"

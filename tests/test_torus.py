@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +14,20 @@ from torusparse import (
     rotate_coeffs,
     wrap_angles,
 )
-from torusparse.torus import TWO_PI, validate_frequency_table
+from torusparse.torus import (
+    LATTICE_POINT_LIMIT,
+    TWO_PI,
+    canonical_count,
+    validate_frequency_table,
+)
 
-from conftest import bandlimit, dft_shift_operator, oracle_validate_frequency_table
+from conftest import (
+    bandlimit,
+    dft_shift_operator,
+    oracle_build_frequency_table,
+    oracle_frequency_table_auto,
+    oracle_validate_frequency_table,
+)
 
 
 class TestFrequencyTable:
@@ -99,6 +113,67 @@ def _outcome(check, table):
 def test_validator_matches_row_by_row_oracle(table):
     assert _outcome(validate_frequency_table, table) == \
         _outcome(oracle_validate_frequency_table, table)
+
+
+def _built(build, *args):
+    """The entries' bytes of a built table, or the message it raised."""
+    try:
+        table = build(*args)
+    except ValueError as exc:
+        return str(exc)
+    assert table.entries.dtype == np.int64
+    return table.entries.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 4), max_norm=st.integers(-1, 4), m=st.integers(0, 3),
+       include_zero=st.booleans(), data=st.data())
+def test_builder_matches_per_vector_oracle(n, max_norm, m, include_zero, data):
+    # every L a table can hold, a few it cannot, and bad n, L, m or max_norm
+    top = max(m, 1) * canonical_count(max(n, 1), max(max_norm, 0), include_zero)
+    L = data.draw(st.integers(0, top + 3))
+    args = (n, L, m, max_norm, include_zero)
+    assert _built(build_frequency_table, *args) == \
+        _built(oracle_build_frequency_table, *args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), L=st.integers(1, 200), m=st.integers(1, 3),
+       include_zero=st.booleans())
+def test_auto_table_matches_per_vector_oracle(n, L, m, include_zero):
+    args = (n, L, m, include_zero)
+    assert _built(frequency_table_auto, *args) == \
+        _built(oracle_frequency_table_auto, *args)
+
+
+class TestLatticeBound:
+    def test_wide_torus_is_refused_by_name_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"n=20, max_norm=1: lattice of 3486784401"):
+            frequency_table_auto(20, 8, 1)
+        assert time.perf_counter() - start < 1.0
+
+    def test_huge_multiplicity_repeats_one_vector_at_once(self):
+        start = time.perf_counter()
+        table = frequency_table_auto(2, 8, 2**40)
+        assert time.perf_counter() - start < 1.0
+        assert table.entries.tolist() == [[0, 0]] * 8
+        validate_frequency_table(table)
+
+    def test_largest_accepted_lattice_stays_under_128_mib(self):
+        n = 1
+        while 3 ** (n + 1) <= LATTICE_POINT_LIMIT:
+            n += 1
+        with pytest.raises(ValueError, match=f"n={n + 1}, max_norm=1"):
+            build_frequency_table(n + 1, 8, 1, 1)
+        tracemalloc.start()
+        try:
+            table = build_frequency_table(n, 128, 1, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        validate_frequency_table(table)
+        assert peak < 128 * 2**20
 
 
 class TestRotateCoeffs:

@@ -124,6 +124,35 @@ class TestInitModel:
             model.validate()
 
 
+def _without_atoms(model):
+    return replace(model, dictionary=model.dictionary[:, :0])
+
+
+def _scaled_atom(model):
+    return replace(model, dictionary=model.dictionary * 1.5)
+
+
+def _extra_rows(model):
+    rows = np.vstack([model.dictionary, model.dictionary]) / np.sqrt(2.0)
+    return replace(model, dictionary=rows)
+
+
+@pytest.mark.parametrize("change, message", [
+    (_without_atoms, "need at least one rotation block and one atom"),
+    (_scaled_atom, "dictionary columns not unit norm (error 5.000e-01)"),
+    (_extra_rows, "dictionary rows do not match model dimension"),
+    (lambda model: replace(model, noise_var=0.0), "noise variance must be positive"),
+    (lambda model: replace(model, sparsity=-1.0), "sparsity rate must be nonnegative"),
+    (lambda model: replace(model, prior=tp.TorusPrior.uniform(model.n_freq + 1)),
+     "prior length does not match frequency table"),
+], ids=["no-atom", "column-norm", "dictionary-rows", "noise-var", "sparsity", "prior"])
+def test_model_refusals_name_their_cause(change, message):
+    model = change(init_model(tiny_config(), 0))
+    with pytest.raises(ValueError) as info:
+        model.validate()
+    assert str(info.value) == message
+
+
 class TestDictionaryGradient:
     def test_zero_code_gives_zero(self):
         model = small_model(0)
@@ -729,11 +758,11 @@ def test_train_refuses_fewer_than_one_thread(tmp_path, threads):
 @pytest.mark.parametrize("threads, weight_cap", [(2, CHUNK_WEIGHTS), (1, 12 * 3)])
 def test_chunk_inference_never_runs_on_the_calling_thread(monkeypatch, threads,
                                                           weight_cap):
-    """With two or more tiles the calling thread only waits, whether they
-    form one group (one thread) or two: a group of its own would overlap
-    the pool threads' groups in time. Each group sleeps first, so that one
-    thread cannot take every group before a calling thread that shares
-    them out would take one."""
+    """With two or more groups the calling thread only waits: a group of
+    its own would overlap the pool threads' groups in time. One group (one
+    thread) runs on the calling thread, which then starts no pool. Each
+    group sleeps first, so that one thread cannot take every group before
+    a calling thread that shares them out would take one."""
     import threading
     import time
 
@@ -756,4 +785,4 @@ def test_chunk_inference_never_runs_on_the_calling_thread(monkeypatch, threads,
     assert len(tiles) == 3
     tp.infer_code_batch(images, init_model(cfg, 1), cfg, n_grid=n_grid, threads=threads)
     assert len(callers) == threads
-    assert threading.get_ident() not in callers
+    assert (threading.get_ident() in callers) == (threads == 1)
