@@ -32,9 +32,12 @@ MAX_SHIFT = 2.0**52
 # uint32 word, so s = 2**32 would repeat the parameters of sample 0.
 MAX_COUNT = 2**32
 
-# Output pixels warped per pass of make_synthetic (41 images at 28x28): the
-# temporaries of one pass stay a few MB, where one pass over all samples
-# would hold about 15 arrays of the whole dataset's size.
+# Output pixels warped per block of make_synthetic (41 images at 28x28).
+# Every block reads its corners from the one framed copy of the templates,
+# so it allocates only its template indices, positions, corners and
+# weights: about ten arrays the size of its own output, 256 KB each, where
+# one pass over all samples would hold about 15 arrays of the whole
+# dataset's size. 2**14 ran about 35% slower on 28x28 images; 2**16 tied.
 WARP_PIXELS = 1 << 15
 
 
@@ -138,45 +141,52 @@ def load_idx_labels(path) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8, offset=8).copy()
 
 
-def _bilinear_sample(imgs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                     cyclic: bool, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Sample each imgs[s] at fractional (row, col) positions; zero fill or wrap.
+def _frame(templates, cyclic: bool):
+    """One framed copy of the (side, side) templates, and its pad.
 
-    imgs is (S, side, side); rows and cols broadcast to (S, side, side), the
-    shape of the result, which is written to ``out`` when given. The
-    four corners of every sample are gathered at once through flat indices
-    into a framed copy of the images. Cyclic frames append row 0 and
-    column 0 after the last ones, so corner r + 1 of a wrapped r needs no
-    second wrap. Zero frames add two zero rows and columns on every side,
-    and a top-left corner clipped into [-2, side] reads zeros for both of
-    its rows (columns) whenever the unclipped ones lie outside the image.
+    Cyclic frames append row 0 and column 0 after the last ones, so corner
+    r + 1 of a wrapped r needs no second wrap. Zero frames add two zero
+    rows and columns on every side. Each template is copied straight into
+    its frame, so no unframed stack of them is made.
     """
-    count, side = imgs.shape[0], imgs.shape[1]
+    side, pad = templates[0].shape[0], 0 if cyclic else 2
+    width = side + (1 if cyclic else 4)
+    framed = np.zeros((len(templates), width, width))
+    for frame, template in zip(framed, templates):
+        frame[pad:pad + side, pad:pad + side] = template
     if cyclic:
-        framed, pad = np.pad(imgs, ((0, 0), (0, 1), (0, 1)), mode="wrap"), 0
-    else:
-        framed, pad = np.zeros((count, side + 4, side + 4)), 2
-        framed[:, 2:-2, 2:-2] = imgs
-    width = framed.shape[1]
+        framed[:, side] = framed[:, 0]
+        framed[:, :, side] = framed[:, :, 0]
+    return framed, pad
+
+
+def _bilinear_sample(framed: np.ndarray, pad: int, index: np.ndarray,
+                     rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
+    """Sample template index[s] of a _frame copy at fractional (row, col)
+    positions into out[s]; zero fill (pad 2) or wrap (pad 0).
+
+    rows and cols broadcast to out's shape (S, side, side). The four
+    corners of every sample are gathered at once through flat indices
+    into the framed templates, template t at offset t * width**2. A
+    top-left corner clipped into [-2, side] reads zeros for both of its
+    rows (columns) whenever the unclipped ones lie outside the image.
+    """
+    width, side = framed.shape[1], out.shape[1]
     r0 = np.floor(rows).astype(int)
     c0 = np.floor(cols).astype(int)
     fr = rows - r0
     fc = cols - c0
     gr = 1 - fr
     gc = 1 - fc
-    if cyclic:
-        r0, c0 = np.mod(r0, side), np.mod(c0, side)
-    else:
+    if pad:
         r0, c0 = np.clip(r0, -2, side), np.clip(c0, -2, side)
-    base = (np.arange(count) * (width * width) + pad * (width + 1))[:, None, None]
+    else:
+        r0, c0 = np.mod(r0, side), np.mod(c0, side)
+    base = (index * (width * width) + pad * (width + 1))[:, None, None]
     corner = (base + r0 * width) + c0
     del r0, c0  # two block-sized arrays fewer while the corners are gathered
-    shape = np.broadcast_shapes(corner.shape, fr.shape, fc.shape)
-    if out is None:
-        out = np.zeros(shape)
-    else:
-        out[...] = 0.0
-    weight, taken = np.empty(shape), np.empty(shape)
+    out[...] = 0.0
+    weight, taken = np.empty(out.shape), np.empty(out.shape)
     # corners at offsets 0, 1, width and width + 1; every index is in the
     # frame (wrapped or clipped above), so "clip" mode changes none
     for step, a, b in ((0, gr, gc), (1, gr, fc), (width - 1, fr, gc), (1, fr, fc)):
@@ -185,7 +195,6 @@ def _bilinear_sample(imgs: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         framed.take(corner, out=taken, mode="clip")
         taken *= weight
         out += taken
-    return out
 
 
 def _translate_positions(side: int, dx: np.ndarray, dy: np.ndarray):
@@ -212,34 +221,56 @@ def _rot_scale_positions(side: int, theta: np.ndarray, scale: np.ndarray):
     return src_r, src_c
 
 
-def _square_image(img) -> np.ndarray:
+_POSITIONS = {"translate2d": _translate_positions, "rotscale": _rot_scale_positions}
+
+
+def _warp(framed: np.ndarray, pad: int, kind: str, index: np.ndarray,
+          meta: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Warp template index[s] of a _frame copy by the parameters meta[s]
+    into out[s]; per-sample flags, true where every pixel is finite."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows, cols = _POSITIONS[kind](out.shape[1], meta[:, 0], meta[:, 1])
+        _bilinear_sample(framed, pad, index, rows, cols, out)
+    return np.isfinite(out).reshape(len(out), -1).all(axis=1)
+
+
+def _non_finite(kind: str, values, where: str = "") -> ValueError:
+    (name0, name1), (value0, value1) = PARAMETER_NAMES[kind], values
+    return ValueError(f"{where}({name0}={float(value0)!r}, {name1}={float(value1)!r}) "
+                      "warps to a non-finite pixel")
+
+
+def _warp_one(img, kind: str, p0, p1, cyclic: bool = False) -> np.ndarray:
+    """One image warped as make_synthetic warps a sample: refused by name
+    where a TransformSpec range [p, p] is, or where a pixel is not finite."""
     img = np.asarray(img, dtype=float)
     if img.ndim != 2 or img.shape[0] != img.shape[1]:
         raise ValueError(f"expected a square image, got shape {img.shape}")
-    return img
+    TransformSpec(kind, ((p0, p0), (p1, p1)), 1)
+    meta, out = np.array([[p0, p1]], dtype=float), np.empty((1,) + img.shape)
+    if not _warp(*_frame([img], cyclic), kind, np.zeros(1, dtype=int), meta, out)[0]:
+        raise _non_finite(kind, meta[0])
+    return out[0]
 
 
 def warp_translate(img: np.ndarray, dx: float, dy: float,
                    cyclic: bool = False) -> np.ndarray:
-    """Shift image content by (dx, dy) pixels (columns, rows)."""
-    img = _square_image(img)
-    rows, cols = _translate_positions(img.shape[0], np.array([dx], dtype=float),
-                                      np.array([dy], dtype=float))
-    return _bilinear_sample(img[None], rows, cols, cyclic)[0]
+    """Shift image content by (dx, dy) pixels (columns, rows).
+
+    Raises ValueError for a shift that is not finite or beyond MAX_SHIFT.
+    """
+    return _warp_one(img, "translate2d", dx, dy, cyclic)
 
 
 def warp_rot_scale(img: np.ndarray, theta: float, scale: float) -> np.ndarray:
     """Rotate by theta and scale about the pixel center of the image.
 
     Inverse mapping: each output pixel reads the source at its position
-    rotated by -theta and divided by the scale factor.
+    rotated by -theta and divided by the scale factor. Raises ValueError
+    for a theta that is not finite, a scale outside (0, 2], and a scale
+    so small that a pixel is not finite (say 1e-300).
     """
-    if not 0 < scale <= 2:
-        raise ValueError(f"scale must be in (0, 2], got {scale}")
-    img = _square_image(img)
-    rows, cols = _rot_scale_positions(img.shape[0], np.array([theta], dtype=float),
-                                      np.array([scale], dtype=float))
-    return _bilinear_sample(img[None], rows, cols, cyclic=False)[0]
+    return _warp_one(img, "rotscale", theta, scale)
 
 
 # numpy.random.SeedSequence hash constants and the PCG64 (XSL-RR) multiplier.
@@ -357,10 +388,11 @@ def make_synthetic(templates, spec: TransformSpec, seed: int,
     order, from two `uniform` draws of a PCG64 generator seeded with
     np.random.SeedSequence([seed mod 2**64, t, s]); the meta rows hold
     them. All samples' draws run as one vectorised pass over blocks of
-    DRAW_SAMPLES samples. The images are then warped in blocks of
-    WARP_PIXELS output pixels, shared out to ``threads`` lanes, the
-    calling thread among them. Each block writes its own rows
-    of the result, so the bytes do not depend on the thread count. Raises
+    DRAW_SAMPLES samples. The templates are framed once (_frame), and the
+    images are then warped from that copy in blocks of WARP_PIXELS output
+    pixels, shared out to ``threads`` lanes, the calling thread among
+    them. Each block writes its own rows of the result, so the bytes do
+    not depend on the thread count. Raises
     ValueError naming the first sample whose warp has a non-finite pixel,
     whichever thread warped it.
     """
@@ -376,31 +408,22 @@ def make_synthetic(templates, spec: TransformSpec, seed: int,
     count = spec.count_per_template
     meta = _draw_parameters(seed, len(templates), count, spec.ranges)
 
-    stack = np.stack(templates)
     cyclic = spec.cyclic and spec.kind == "translate2d"  # rotations zero-fill
-    positions = _translate_positions if spec.kind == "translate2d" else _rot_scale_positions
+    framed, pad = _frame(templates, cyclic)
     images = np.empty((len(meta), side, side))
     block = max(1, WARP_PIXELS // (side * side))
 
     def warp(start):
         """Warp one block into its rows of images; its per-sample finite flags."""
         stop = min(start + block, len(meta))
-        with np.errstate(invalid="ignore", over="ignore"):
-            rows, cols = positions(side, meta[start:stop, 0], meta[start:stop, 1])
-            _bilinear_sample(stack[np.arange(start, stop) // count], rows, cols, cyclic,
-                             out=images[start:stop])
-        return np.isfinite(images[start:stop]).reshape(stop - start, -1).all(axis=1)
+        return _warp(framed, pad, spec.kind, np.arange(start, stop) // count,
+                     meta[start:stop], images[start:stop])
 
     with Lanes(threads) as lanes:
         finite = np.concatenate(lanes.map(warp, range(0, len(meta), block)))
     if not finite.all():
         row = int(np.argmin(finite))
-        (name0, name1), (value0, value1) = PARAMETER_NAMES[spec.kind], meta[row]
-        raise ValueError(
-            f"template {row // count} sample {row % count} "
-            f"({name0}={float(value0)!r}, {name1}={float(value1)!r}) "
-            "warps to a non-finite pixel"
-        )
+        raise _non_finite(spec.kind, meta[row], f"template {row // count} sample {row % count} ")
     return Dataset(images=images.reshape(len(meta), side * side), side=side, meta=meta)
 
 

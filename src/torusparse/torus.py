@@ -101,6 +101,11 @@ def validate_frequency_table(freq: FrequencyTable) -> None:
         raise ValueError(f"entry {tup} repeated more than m={m}")
 
 
+def _check_sizes(n: int, L: int, m: int) -> None:
+    if n < 1 or L < 1 or m < 1:
+        raise ValueError("n, L, m must all be >= 1")
+
+
 def build_frequency_table(
     n: int, L: int, m: int, max_norm: int, include_zero: bool = True
 ) -> FrequencyTable:
@@ -112,8 +117,7 @@ def build_frequency_table(
     canonical vectors, naming a bound that would, or if the lattice has
     more than LATTICE_POINT_LIMIT points.
     """
-    if n < 1 or L < 1 or m < 1:
-        raise ValueError("n, L, m must all be >= 1")
+    _check_sizes(n, L, m)
     if max_norm < 0:
         raise ValueError("max_norm must be >= 0")
     needed = -(-L // m)
@@ -140,6 +144,7 @@ def frequency_table_auto(
     n: int, L: int, m: int, include_zero: bool = True
 ) -> FrequencyTable:
     """Build a table with the smallest power-of-two sup-norm bound that fits."""
+    _check_sizes(n, L, m)
     needed = -(-L // m)
     bound = 1
     while canonical_count(n, bound, include_zero) < needed:

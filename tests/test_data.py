@@ -3,6 +3,7 @@ import re
 import struct
 import sys
 import tracemalloc
+import warnings
 
 from unittest import mock
 
@@ -446,6 +447,87 @@ class TestThreadedWarp:
     def test_fewer_than_one_thread_is_refused_by_name(self, threads):
         with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
             make_synthetic([np.ones((2, 2))], TransformSpec.rotscale(2), 0, threads=threads)
+
+
+@st.composite
+def many_template_cases(draw):
+    """(templates, spec, seed, threads, images per block): up to 60
+    templates of side 1 to 12, with negative, -0.0 and 0.0 pixels, and 1 to
+    3 samples each, so one block reads many templates of the shared frame."""
+    side, n_templates = draw(st.integers(1, 12)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    templates = rng.uniform(-1, 1, (n_templates, side, side))
+    templates[rng.uniform(size=templates.shape) < 0.2] = -0.0
+    templates[rng.uniform(size=templates.shape) < 0.1] = 0.0
+    if draw(st.sampled_from(["translate2d", "rotscale"])) == "translate2d":
+        shift = (-2.0 * side, 2.0 * side)
+        spec = TransformSpec.translate2d(draw(st.integers(1, 3)), (shift, shift),
+                                         cyclic=draw(st.booleans()))
+    else:
+        spec = TransformSpec.rotscale(draw(st.integers(1, 3)), ((-4.0, 4.0), (0.3, 2.0)))
+    per_block = draw(st.sampled_from([1, 7, datasets.WARP_PIXELS // (side * side)]))
+    templates = templates if draw(st.booleans()) else list(templates)
+    return templates, spec, draw(st.integers(0, 2**64 - 1)), draw(st.integers(1, 3)), per_block
+
+
+class TestSharedFrame:
+    @settings(max_examples=60, deadline=None)
+    @given(case=many_template_cases())
+    def test_blocks_over_many_templates_match_per_image_oracle(self, case):
+        templates, spec, seed, threads, per_block = case
+        side = templates[0].shape[0]
+        with mock.patch.object(datasets, "WARP_PIXELS", per_block * side * side):
+            ds = make_synthetic(templates, spec, seed, threads=threads)
+        images, meta = oracle_synthetic(templates, spec, seed)
+        assert ds.meta.tobytes() == meta.tobytes()
+        assert ds.images.tobytes() == images.tobytes()
+
+    def test_peak_memory_is_one_framed_copy_of_the_templates(self):
+        """2,000 templates of 28x28, one sample each: beyond the images and
+        meta it returns, make_synthetic holds one zero-framed copy of the
+        templates (32x32 each) and the draws and temporaries of one block,
+        allowed 16 arrays of WARP_PIXELS floats. An unframed stack of the
+        templates kept beside the frame would add 12 MiB."""
+        templates = list(np.random.default_rng(5).uniform(0, 1, (2000, 28, 28)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            ds = make_synthetic(templates, TransformSpec.rotscale(1), seed=2)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        framed = len(templates) * 32 * 32 * 8
+        allowance = 16 * datasets.WARP_PIXELS * 8
+        assert peak <= framed + ds.images.nbytes + ds.meta.nbytes + allowance, peak
+
+
+@pytest.mark.parametrize("warp, args, message", [
+    (warp_rot_scale, (0.3, 1e-300), "(theta=0.3, scale=1e-300) warps to a non-finite pixel"),
+    (warp_rot_scale, (np.nan, 1.0), "theta low bound nan is not finite"),
+    (warp_rot_scale, (-np.inf, 1.0), "theta low bound -inf is not finite"),
+    (warp_rot_scale, (0.0, 0.0), "scale range (0.0, 0.0) must lie in (0, 2]"),
+    (warp_rot_scale, (0.0, 2.5), "scale range (2.5, 2.5) must lie in (0, 2]"),
+    (warp_translate, (np.nan, 0.0), "dx low bound nan is not finite"),
+    (warp_translate, (0.0, np.inf), "dy low bound inf is not finite"),
+    (warp_translate, (1e300, 0.0), "dx range (1e+300, 1e+300) shifts beyond 2**52 pixels"),
+    (warp_translate, (0.0, -(2.0**53)), "shifts beyond 2**52 pixels"),
+])
+def test_public_warps_refuse_by_name_what_a_spec_refuses(warp, args, message):
+    """Each refusal is a ValueError naming the parameter, with no numpy
+    RuntimeWarning on the way (warnings are errors here)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            warp(np.ones((6, 6)), *args)
+
+
+def test_public_warps_accept_the_edges_a_spec_accepts():
+    img = np.random.default_rng(9).uniform(0, 1, (6, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not warp_translate(img, 2.0**52, -(2.0**52)).any()
+        assert np.isfinite(warp_translate(img, 2.0**52, 0.5, cyclic=True)).all()
+        assert np.isfinite(warp_rot_scale(img, 1e300, 2.0)).all()
 
 
 class TestSampleCountLimit:

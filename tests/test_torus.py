@@ -57,6 +57,13 @@ class TestFrequencyTable:
         with pytest.raises(ValueError):
             build_frequency_table(n=1, L=3, m=0, max_norm=2)
 
+    @pytest.mark.parametrize("n, L, m", [(0, 3, 1), (1, 0, 1), (1, 3, 0), (1, 3, -2)])
+    def test_auto_table_refuses_sizes_below_one_by_name(self, n, L, m):
+        """Refused before the ceiling division by m and before the search
+        for a bound, which no table satisfies at n = 0."""
+        with pytest.raises(ValueError, match=r"^n, L, m must all be >= 1$"):
+            frequency_table_auto(n, L, m)
+
     def test_randomized_invariants(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
