@@ -157,6 +157,8 @@ def _load_dataset(path) -> Dataset:
 
 def _cmd_gen_data(args) -> int:
     templates = load_idx_images(args.templates)
+    # built before warping, so an odd image dimension is refused at once
+    model = _placeholder_model(templates.images.shape[1])
     if args.kind == "translate2d":
         defaults, flags = TRANSLATE_DEFAULT, (args.dx, args.dy)
     else:
@@ -167,8 +169,7 @@ def _cmd_gen_data(args) -> int:
     spec = TransformSpec(args.kind, ranges, args.count_per_template, cyclic=args.cyclic)
     dataset = make_synthetic(templates.images.reshape(-1, templates.side, templates.side),
                              spec, args.seed, threads=args.threads)
-    save_checkpoint(_placeholder_model(dataset.images.shape[1]), args.out,
-                    dataset=dataset)
+    save_checkpoint(model, args.out, dataset=dataset)
     print(f"wrote {dataset.images.shape[0]} images to {args.out}")
     return 0
 

@@ -11,14 +11,17 @@ Checkpoint layout (all little-endian):
     noise_var, sparsity    float64
     [flags bit 0] dataset: count u32, then count*D float64, image-major
 
-The payload length is fully determined by the header (and the dataset
-count): loading checks it against the file's size before it allocates
-any array, reads each section straight into its own array, and verifies
-the magic, the version, and every model invariant before returning.
+Every section's length follows from the header (and the dataset count).
+Loading reads the sections in file order, checks each one's length
+against the bytes left in the file before it allocates that section's
+array, reads the section straight into it, refuses trailing bytes after
+the last section, and verifies the magic, the version, and every model
+invariant before returning.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -124,9 +127,9 @@ def _require(available: int, offset: int, size: int, what: str) -> None:
 def load_checkpoint_full(path) -> CheckpointContents:
     """Load and validate the container, returning model, grid size, dataset.
 
-    Every section's size follows from the header (and the dataset count),
-    so the whole layout is checked against the file's size before any
-    array is allocated; each section is then read into its own array.
+    The sections are read in file order, each checked against the bytes
+    left in the file before its array is allocated, so no allocation
+    exceeds the file.
     """
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
@@ -145,46 +148,31 @@ def load_checkpoint_full(path) -> CheckpointContents:
         if n_grid < 2:
             raise CheckpointError(f"header field N (grid size) is {n_grid}; must be >= 2")
 
-        sections = [("frequency table", 4 * L * n), ("basis", 8 * d * 2 * L),
-                    ("dictionary", 8 * d * k), ("kappa", 8 * L), ("mu", 8 * L),
-                    ("scalars", 16)]
-        if flags & FLAG_DATASET:
-            sections.append(("dataset count", 4))
-        at, end = {}, HEADER_BYTES
-        for what, need in sections:
-            _require(size, end, need, what)
-            at[what], end = end, end + need
-
         def read(what, shape, dtype="<f8"):
-            """The next section, read straight into a new array."""
+            """The next section, checked against the file's size and then
+            read straight into a new array."""
+            at, need = handle.tell(), math.prod(shape) * np.dtype(dtype).itemsize
+            _require(size, at, need, what)
             array = np.empty(shape, dtype=dtype)
-            got = handle.readinto(array)
-            _require(at[what] + got, at[what], array.nbytes, what)  # file shrank
+            _require(at + handle.readinto(array), at, need, what)  # file shrank
             return array
-
-        if flags & FLAG_DATASET:
-            handle.seek(at["dataset count"])
-            (count,) = read("dataset count", 1, "<u4").tolist()
-            handle.seek(HEADER_BYTES)
-            _require(size, end, 8 * count * d, "dataset images")
-            at["dataset images"], end = end, end + 8 * count * d
-            side = int(round(d**0.5))
-            if side * side != d:
-                raise CheckpointError(f"dataset dimension {d} is not a square")
-        if end != size:
-            raise CheckpointError(f"trailing bytes after offset {end}")
 
         entries = read("frequency table", (L, n), "<i4")
         # The basis and dictionary are stored column-major: each is read as
         # its transpose and copied once into C order.
         basis = read("basis", (2 * L, d)).T.copy()
         dictionary = read("dictionary", (k, d)).T.copy()
-        kappa, mu = read("kappa", L), read("mu", L)
-        noise_var, sparsity = read("scalars", 2).tolist()
+        kappa, mu = read("kappa", (L,)), read("mu", (L,))
+        noise_var, sparsity = read("scalars", (2,)).tolist()
         dataset = None
         if flags & FLAG_DATASET:
-            handle.seek(4, os.SEEK_CUR)  # the count, read above
+            (count,) = read("dataset count", (1,), "<u4").tolist()
+            side = int(round(d**0.5))
+            if side * side != d:
+                raise CheckpointError(f"dataset dimension {d} is not a square")
             dataset = Dataset(images=read("dataset images", (count, d)), side=side)
+        if handle.tell() != size:
+            raise CheckpointError(f"trailing bytes after offset {handle.tell()}")
 
     try:
         model = ModelParams(

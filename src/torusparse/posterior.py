@@ -297,8 +297,15 @@ def _eta_from_coefficients(u, v, eta_prior, noise_var):
 
 def posterior_grid(eta_hat: np.ndarray, freq: FrequencyTable, N: int) -> PosteriorGrid:
     """Evaluate the discretized posterior for one natural parameter vector:
-    a one-image ``grid_pass``."""
+    a one-image ``grid_pass``. Refuses a shape other than (2L,) and a
+    non-finite entry."""
     eta_hat = np.array(eta_hat, dtype=float)
+    if eta_hat.shape != (2 * freq.L,):
+        raise ValueError(f"eta_hat has shape {eta_hat.shape}; expected "
+                         f"({2 * freq.L},), two entries per block for L = {freq.L}")
+    bad = np.flatnonzero(~np.isfinite(eta_hat))
+    if bad.size:
+        raise ValueError(f"eta_hat[{bad[0]}] is {eta_hat[bad[0]]}; must be finite")
     tables = grid_tables(freq, N)
     weights, shift, total, _ = grid_pass(_fold(eta_hat[None], tables).view(float), tables)
     weights /= total

@@ -64,11 +64,19 @@ class FrequencyTable:
     multiplicity: int
 
     def __post_init__(self):
-        self.entries = np.ascontiguousarray(self.entries, dtype=np.int64)
-        if self.entries.ndim != 2 or self.entries.shape[1] != self.n:
+        entries = np.asarray(self.entries)
+        if entries.ndim != 2 or entries.shape[1] != self.n:
             raise ValueError(
-                f"frequency entries must be (L, {self.n}), got {self.entries.shape}"
+                f"frequency entries must be (L, {self.n}), got {entries.shape}"
             )
+        if entries.dtype.kind == "f":
+            # the cast to int64 would truncate 0.5 to 0 and fail on NaN
+            bad = np.argwhere(~(np.isfinite(entries) & (entries == np.trunc(entries))))
+            if bad.size:
+                row, col = bad[0].tolist()
+                raise ValueError(f"frequency entry [{row}, {col}] is {entries[row, col]}; "
+                                 f"entries must be finite integers")
+        self.entries = np.ascontiguousarray(entries, dtype=np.int64)
 
     @property
     def L(self) -> int:

@@ -364,6 +364,16 @@ def test_refusals_are_exit_2_by_name(tmp_path, capsys, name, message):
     assert not out.exists()
 
 
+def test_gen_data_refuses_an_odd_dimension_before_warping(tmp_path, capsys):
+    argv, out = _cli_case(tmp_path, "gen-data-odd")
+    capsys.readouterr()
+    with mock.patch("torusparse.cli.make_synthetic") as warp:
+        assert main(argv) == 2
+    assert capsys.readouterr().err == "error: image dimension 9 is odd; sides must be even\n"
+    warp.assert_not_called()
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("lines, message, reads_data", [
     ("m = 4294967296", "header field m is 4294967296; a checkpoint stores it as u32",
      False),

@@ -214,6 +214,49 @@ class TestCheckpointErrors:
             tracemalloc.stop()
         assert peak < len(blob) + 64 * 1024
 
+    @pytest.mark.parametrize("into", [0, 1], ids=["at-start", "one-byte-in"])
+    @pytest.mark.parametrize("section", [
+        "magic", "version/flags", "dimensions", "frequency table", "basis", "dictionary",
+        "kappa", "mu", "scalars", "dataset count", "dataset images"])
+    def test_cut_in_each_section_names_it(self, tmp_path, section, into):
+        d, L, k, n, count = 16, 3, 2, 2, 2
+        sq_model = small_model(3, d=d, L=L, k=k, n=n)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(sq_model, path, dataset=tp.Dataset(images=np.ones((count, d)),
+                                                           side=4))
+        blob = path.read_bytes()
+        sizes = {"magic": 4, "version/flags": 4, "dimensions": 24,
+                 "frequency table": 4 * L * n, "basis": 8 * d * 2 * L,
+                 "dictionary": 8 * d * k, "kappa": 8 * L, "mu": 8 * L, "scalars": 16,
+                 "dataset count": 4, "dataset images": 8 * count * d}
+        assert sum(sizes.values()) == len(blob)
+        offsets = dict(zip(sizes, itertools.accumulate(sizes.values(), initial=0)))
+        path.write_bytes(blob[:offsets[section] + into])
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint_full(path)
+        assert str(info.value) == (f"payload truncated reading {section} at byte "
+                                   f"{offsets[section]} (need {sizes[section]} bytes)")
+
+    def test_largest_header_sizes_are_refused_unallocated(self, model, tmp_path):
+        # n = 0 empties the frequency table, and the basis claims
+        # 8 * D * 2L bytes at D = L = 2^32 - 1, past the range of an int64
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = blob[16:20] = struct.pack("<I", 0xFFFFFFFF)
+        blob[20:24] = struct.pack("<I", 0)
+        path.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError) as info:
+                load_checkpoint_full(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == ("payload truncated reading basis at byte 32 "
+                                   "(need 295147905041913872400 bytes)")
+        assert peak < len(blob) + 64 * 1024
+
     @pytest.mark.parametrize("n_grid", [0, 1])
     def test_grid_size_below_two_rejected(self, model, tmp_path, n_grid):
         path = tmp_path / "m.ckpt"

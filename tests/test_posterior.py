@@ -152,6 +152,27 @@ class TestPosteriorGrid:
         with pytest.raises(ValueError):
             posterior_grid(np.zeros(8), freq, 1)
 
+    @pytest.mark.parametrize("eta_hat, message", [
+        (np.zeros(6), "eta_hat has shape (6,); expected (4,), two entries per block "
+                      "for L = 2"),
+        (np.zeros(3), "eta_hat has shape (3,); expected (4,)"),
+        (np.zeros((1, 4)), "eta_hat has shape (1, 4); expected (4,)"),
+        (np.full(4, np.nan), "eta_hat[0] is nan; must be finite"),
+        ([0.0, 1.0, -np.inf, 0.0], "eta_hat[2] is -inf; must be finite"),
+    ], ids=["extra-block", "odd", "batch", "all-nan", "inf"])
+    def test_bad_eta_hat_refused_by_name(self, eta_hat, message):
+        # unchecked, an extra block would be dropped, an odd length would fail
+        # inside a numpy view and NaN would give log_norm nan
+        freq = build_frequency_table(n=2, L=2, m=1, max_norm=1)
+        with pytest.raises(ValueError) as info:
+            posterior_grid(eta_hat, freq, 8)
+        assert message in str(info.value)
+
+    def test_log_likelihood_of_a_nan_image_refused_by_name(self):
+        model = small_model(0, d=12, L=3, k=2, n=2)
+        with pytest.raises(ValueError, match=r"^eta_hat\[0\] is nan; must be finite$"):
+            log_likelihood(np.full(12, np.nan), np.ones(2), model, 8)
+
 
 class TestExpectedRotation:
     def test_uniform_grid(self):

@@ -85,6 +85,26 @@ class TestFrequencyTable:
         with pytest.raises(ValueError, match="repeated"):
             validate_frequency_table(over)
 
+    @pytest.mark.parametrize("entries, message", [
+        ([[0.5], [1.7]], "frequency entry [0, 0] is 0.5; entries must be finite integers"),
+        ([[0.0, 1.0], [1.0, 2.5]], "frequency entry [1, 1] is 2.5"),
+        ([[0.0], [np.nan]], "frequency entry [1, 0] is nan"),
+        ([[-np.inf]], "frequency entry [0, 0] is -inf"),
+    ], ids=["half", "second-column", "nan", "inf"])
+    def test_non_integral_entries_refused_by_name(self, entries, message):
+        # a cast to int64 would store [[0], [1]] for the first and fail on NaN
+        with pytest.raises(ValueError) as info:
+            FrequencyTable(n=len(entries[0]), entries=entries, multiplicity=1)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("entries", [
+        [[0], [1]], np.array([[0], [1]], dtype=np.int32),
+        np.array([[0], [1]], dtype=np.uint8), [[0.0], [1.0]], [[-0.0], [1.0]]])
+    def test_integer_and_integral_float_entries_kept(self, entries):
+        table = FrequencyTable(n=1, entries=entries, multiplicity=1)
+        assert table.entries.dtype == np.int64
+        assert table.entries.tolist() == [[0], [1]]
+
 
 @st.composite
 def near_valid_tables(draw):
