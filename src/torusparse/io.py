@@ -16,7 +16,10 @@ Loading reads the sections in file order, checks each one's length
 against the bytes left in the file before it allocates that section's
 array, reads the section straight into it, refuses trailing bytes after
 the last section, and verifies the magic, the version, and every model
-invariant before returning.
+invariant before returning. A loaded basis and dictionary are the
+column-major views of their sections, so a load allocates no more than
+the file holds plus the 2L x 2L Gram of the orthonormality check, and
+saving a loaded model writes every section from memory as it is.
 """
 
 from __future__ import annotations
@@ -77,7 +80,12 @@ def _check_widths(header: dict, entries: Optional[np.ndarray] = None) -> None:
 
 def save_checkpoint(model: ModelParams, path, n_grid: int = 50,
                     dataset: Optional[Dataset] = None) -> None:
-    """Serialize model (and optionally a dataset) to the container format."""
+    """Serialize model (and optionally a dataset) to the container format.
+
+    Arrays already in the stored dtype and order, such as a loaded
+    model's, are written with no copy; a row-major basis or dictionary,
+    as training leaves them, takes one transposing copy each.
+    """
     d, width = model.basis.shape
     L = model.freq.L
     k = model.dictionary.shape[1]
@@ -129,7 +137,11 @@ def load_checkpoint_full(path) -> CheckpointContents:
 
     The sections are read in file order, each checked against the bytes
     left in the file before its array is allocated, so no allocation
-    exceeds the file.
+    exceeds the file. The model's basis and dictionary are Fortran-ordered
+    views of their column-major sections, not row-major copies; library
+    calls on one or two images may differ from a row-major copy of the
+    same model in the last bit, since BLAS may pick another kernel for a
+    transposed operand.
     """
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
@@ -159,9 +171,10 @@ def load_checkpoint_full(path) -> CheckpointContents:
 
         entries = read("frequency table", (L, n), "<i4")
         # The basis and dictionary are stored column-major: each is read as
-        # its transpose and copied once into C order.
-        basis = read("basis", (2 * L, d)).T.copy()
-        dictionary = read("dictionary", (k, d)).T.copy()
+        # its (2L, D) or (K, D) transpose, and the model holds the
+        # Fortran-ordered view of that buffer.
+        basis = read("basis", (2 * L, d)).T
+        dictionary = read("dictionary", (k, d)).T
         kappa, mu = read("kappa", (L,)), read("mu", (L,))
         noise_var, sparsity = read("scalars", (2,)).tolist()
         dataset = None

@@ -69,13 +69,22 @@ class FrequencyTable:
             raise ValueError(
                 f"frequency entries must be (L, {self.n}), got {entries.shape}"
             )
+        # The cast to int64 would truncate 0.5 to 0, fail on NaN, wrap the
+        # unsigned 2^63 to -2^63 and overflow on the float 1e19. Signed
+        # integers (the int32 table a load reads) need no check.
+        checks = []
         if entries.dtype.kind == "f":
-            # the cast to int64 would truncate 0.5 to 0 and fail on NaN
-            bad = np.argwhere(~(np.isfinite(entries) & (entries == np.trunc(entries))))
+            checks = [(np.isfinite(entries) & (entries == np.trunc(entries)),
+                       "entries must be finite integers"),
+                      ((entries >= -(2.0**63)) & (entries < 2.0**63), "entries must fit int64")]
+        elif entries.dtype.kind == "u":
+            checks = [(entries <= np.uint64(2**63 - 1), "entries must fit int64")]
+        for ok, rule in checks:
+            bad = np.argwhere(~ok)
             if bad.size:
                 row, col = bad[0].tolist()
                 raise ValueError(f"frequency entry [{row}, {col}] is {entries[row, col]}; "
-                                 f"entries must be finite integers")
+                                 f"{rule}")
         self.entries = np.ascontiguousarray(entries, dtype=np.int64)
 
     @property

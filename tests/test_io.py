@@ -1,12 +1,15 @@
 import itertools
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import torusparse as tp
+from torusparse.evaluate import latent_traversal, reconstruct_batch
+from torusparse.inference import infer_code_batch
 from torusparse.io import (
     BadMagicError,
     CheckpointError,
@@ -18,6 +21,8 @@ from torusparse.io import (
     parse_config,
     save_checkpoint,
 )
+from torusparse.stiefel import StiefelAdamState, riemannian_adam_step
+from torusparse.training import TrainConfig, _batch_gradients, init_model, train
 
 from conftest import scalar_offsets, small_model
 
@@ -25,6 +30,18 @@ from conftest import scalar_offsets, small_model
 @pytest.fixture
 def model():
     return small_model(0, d=12, L=3, k=4, n=2, noise_var=0.02, kappa_scale=1.5)
+
+
+class TracedPeak:
+    """Context manager: ``peak`` is the tracemalloc peak of its body."""
+
+    def __enter__(self):
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
 
 
 class TestCheckpointRoundTrip:
@@ -111,9 +128,14 @@ class TestCheckpointBuffers:
         path = tmp_path / "m.ckpt"
         save_checkpoint(sq_model, path, dataset=ds)
         loaded = load_checkpoint_full(path)
-        arrays = [loaded.model.basis, loaded.model.dictionary, loaded.model.freq.entries,
-                  loaded.model.prior.kappa, loaded.model.prior.mu, loaded.dataset.images]
-        for array in arrays:
+        # the basis and dictionary are Fortran-ordered views of their sections
+        columns = [loaded.model.basis, loaded.model.dictionary]
+        rows = [loaded.model.freq.entries, loaded.model.prior.kappa, loaded.model.prior.mu,
+                loaded.dataset.images]
+        arrays = columns + rows
+        for array in columns:
+            assert array.flags.writeable and array.flags.f_contiguous
+        for array in rows:
             assert array.flags.writeable and array.flags.c_contiguous
         for a, b in itertools.combinations(arrays, 2):
             assert not np.shares_memory(a, b)
@@ -131,8 +153,10 @@ class TestCheckpointBuffers:
         residues = ((32 + 4 * L * n) % 8, count_at % 8, (count_at + 4) % 8)
         assert residues == ((4, 4, 0) if L * n % 2 else (0, 0, 4))
         loaded = load_checkpoint_full(path)
-        for array in (loaded.model.basis, loaded.model.dictionary,
-                      loaded.model.prior.kappa, loaded.model.prior.mu,
+        for array in (loaded.model.basis, loaded.model.dictionary):
+            assert array.flags.aligned and array.flags.f_contiguous
+            assert array.ctypes.data % 8 == 0
+        for array in (loaded.model.prior.kappa, loaded.model.prior.mu,
                       loaded.dataset.images):
             assert array.flags.aligned and array.flags.c_contiguous
             assert array.ctypes.data % 8 == 0
@@ -147,6 +171,79 @@ class TestCheckpointBuffers:
         path.write_bytes(bytes(blob))
         with pytest.raises(BadMagicError, match=r"^bad magic b'XSC1'$"):
             load_checkpoint(path)
+
+
+@st.composite
+def layout_cases(draw):
+    """(model, dataset, config) at random small shapes: n in {1, 2}, D <= 64,
+    one to six images. lambda 1 and alpha0 0.1, as in the CI end-to-end
+    config, keep the codes from dying; lr_w is 1e-6 (``layout_outputs``)."""
+    side = draw(st.sampled_from([2, 4, 6, 8]))
+    d = side * side
+    model = small_model(draw(st.integers(0, 2**16)), d=d, L=draw(st.integers(1, d // 2)),
+                        k=draw(st.integers(1, 4)), n=draw(st.integers(1, 2)),
+                        kappa_scale=draw(st.sampled_from([0.0, 1.5])))
+    images = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(
+        0, 1, (draw(st.integers(1, 6)), d))
+    cfg = TrainConfig(batch_size=draw(st.integers(1, 6)), fista_steps=4,
+                      grid_size=draw(st.integers(3, 8)), epochs=1, sparsity=1.0,
+                      code_init=0.1, lr_basis=1e-6,
+                      grad_mode=draw(st.sampled_from(["approximate", "exact"])),
+                      torus_dim=model.freq.n, n_freq=model.freq.L,
+                      n_atoms=model.n_atoms, image_dim=d, seed=draw(st.integers(0, 9)))
+    return model, tp.Dataset(images=images, side=side), cfg
+
+
+def layout_outputs(model, data, cfg):
+    """Every array the library computes from a model and a few images.
+
+    Adam's first step divides each tangent entry by its magnitude plus
+    1e-8, so it multiplies the rounding of an entry near zero by up to
+    lr / 1e-8: 3e7 at the default lr_w. So the Stiefel step starts from
+    second moments away from zero, and training, whose first step cannot,
+    runs at lr_w 1e-6, where the gain is 100. Training leaves out the
+    square basis (D = 2L), whose tangent gradient is zero up to rounding
+    of 1e-14, so its first step is that rounding times the gain.
+    """
+    images = data.images
+    codes, post = infer_code_batch(images, model, cfg)
+    grad_dict, grad_basis, residual = _batch_gradients(
+        images, codes, model, post.rbar, cfg.grad_mode == "exact")
+    warm = StiefelAdamState(m1=np.zeros(model.basis.shape), m2=np.ones(model.basis.shape),
+                            lr=0.05, step_count=1)
+    state, point = riemannian_adam_step(warm, model.basis, grad_basis)
+    recons = reconstruct_batch(images, model, cfg, n_grid=cfg.grid_size)
+    outputs = [codes, post.rbar, *(recon.image_hat for recon in recons),
+               latent_traversal(model, images, 1, -1.0, 2.0, 3),
+               grad_dict, grad_basis, residual, state.m1, state.m2, point]
+    if 2 * model.n_freq < model.dim:
+        trained, log = train(model, data, cfg)
+        outputs += [trained.basis, trained.dictionary, [record[2:4] for record in log]]
+    return outputs
+
+
+class TestColumnMajorModels:
+    """A loaded basis and dictionary are column-major views of their
+    sections, where a trained or built model holds row-major arrays. Both
+    layouts must save the same file and compute the same values; BLAS may
+    pick another kernel for a transposed operand, so agreement is to
+    1e-12, not to the bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=layout_cases())
+    def test_row_and_column_major_models_agree(self, case, tmp_path_factory):
+        model, data, cfg = case
+        rows, cols = (replace(model, basis=order(model.basis),
+                              dictionary=order(model.dictionary))
+                      for order in (np.ascontiguousarray, np.asfortranarray))
+        assert rows.basis.flags.c_contiguous and cols.basis.flags.f_contiguous
+        root = tmp_path_factory.mktemp("layout")
+        save_checkpoint(rows, root / "rows.ckpt", n_grid=cfg.grid_size)
+        save_checkpoint(cols, root / "cols.ckpt", n_grid=cfg.grid_size)
+        assert (root / "rows.ckpt").read_bytes() == (root / "cols.ckpt").read_bytes()
+        for want, got in zip(layout_outputs(rows, data, cfg),
+                             layout_outputs(cols, data, cfg), strict=True):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class TestCheckpointErrors:
@@ -205,14 +302,9 @@ class TestCheckpointErrors:
         at = {"count": scalar_offsets(sq_model)["sparsity"] + 8, "D": 8, "L": 16}[field]
         blob[at : at + 4] = struct.pack("<I", 2**28)
         path.write_bytes(bytes(blob))
-        tracemalloc.start()
-        try:
-            with pytest.raises(CheckpointError, match="truncated"):
-                load_checkpoint_full(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < len(blob) + 64 * 1024
+        with TracedPeak() as traced, pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint_full(path)
+        assert traced.peak < len(blob) + 64 * 1024
 
     @pytest.mark.parametrize("into", [0, 1], ids=["at-start", "one-byte-in"])
     @pytest.mark.parametrize("section", [
@@ -246,16 +338,33 @@ class TestCheckpointErrors:
         blob[8:12] = blob[16:20] = struct.pack("<I", 0xFFFFFFFF)
         blob[20:24] = struct.pack("<I", 0)
         path.write_bytes(bytes(blob))
-        tracemalloc.start()
-        try:
-            with pytest.raises(CheckpointError) as info:
-                load_checkpoint_full(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        with TracedPeak() as traced, pytest.raises(CheckpointError) as info:
+            load_checkpoint_full(path)
         assert str(info.value) == ("payload truncated reading basis at byte 32 "
                                    "(need 295147905041913872400 bytes)")
-        assert peak < len(blob) + 64 * 1024
+        assert traced.peak < len(blob) + 64 * 1024
+
+    def test_load_allocates_the_file_and_the_orthonormality_gram(self, tmp_path):
+        # at the paper shape: the sections are the model's own arrays, and
+        # only the 2L x 2L Gram of the orthonormality check comes on top
+        model = init_model(TrainConfig(), 0)
+        path = tmp_path / "paper.ckpt"
+        save_checkpoint(model, path)
+        with TracedPeak() as traced:
+            load_checkpoint_full(path)
+        two_l = model.basis.shape[1]
+        assert traced.peak < path.stat().st_size + 8 * two_l**2 + 64 * 1024
+
+    def test_saving_a_loaded_model_copies_no_array(self, tmp_path):
+        # the column-major basis and dictionary are written from their
+        # loaded buffers, with no transposing copy
+        path = tmp_path / "paper.ckpt"
+        save_checkpoint(init_model(TrainConfig(), 0), path)
+        loaded = load_checkpoint_full(path)
+        with TracedPeak() as traced:
+            save_checkpoint(loaded.model, tmp_path / "again.ckpt", n_grid=loaded.n_grid)
+        assert traced.peak < 64 * 1024
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("n_grid", [0, 1])
     def test_grid_size_below_two_rejected(self, model, tmp_path, n_grid):

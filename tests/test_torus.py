@@ -97,6 +97,28 @@ class TestFrequencyTable:
             FrequencyTable(n=len(entries[0]), entries=entries, multiplicity=1)
         assert message in str(info.value)
 
+    @pytest.mark.parametrize("entries, message", [
+        (np.array([[0], [2**63]], dtype=np.uint64),
+         "frequency entry [1, 0] is 9223372036854775808; entries must fit int64"),
+        (np.array([[2**64 - 1]], dtype=np.uint64),
+         "frequency entry [0, 0] is 18446744073709551615"),
+        ([[0.0, 1e19]], "frequency entry [0, 1] is 1e+19; entries must fit int64"),
+        ([[-1e19]], "frequency entry [0, 0] is -1e+19"),
+        ([[2.0**63]], "frequency entry [0, 0] is 9.223372036854776e+18"),
+    ], ids=["u64-2^63", "u64-max", "float-1e19", "float-minus-1e19", "float-2^63"])
+    def test_entries_outside_int64_refused_by_name(self, entries, message):
+        # the cast to int64 would wrap 2^63 to -2^63 and 2^64 - 1 to -1, and
+        # overflow on a float of 1e19 with only a RuntimeWarning
+        with pytest.raises(ValueError) as info:
+            FrequencyTable(n=np.shape(entries)[1], entries=entries, multiplicity=1)
+        assert message in str(info.value)
+
+    @pytest.mark.parametrize("entries, value", [
+        (np.array([[2**63 - 1]], dtype=np.uint64), 2**63 - 1), ([[-(2.0**63)]], -(2**63))])
+    def test_int64_extremes_kept(self, entries, value):
+        table = FrequencyTable(n=1, entries=entries, multiplicity=1)
+        assert table.entries.tolist() == [[value]]
+
     @pytest.mark.parametrize("entries", [
         [[0], [1]], np.array([[0], [1]], dtype=np.int32),
         np.array([[0], [1]], dtype=np.uint8), [[0.0], [1.0]], [[-0.0], [1.0]]])
