@@ -33,11 +33,13 @@ MAX_SHIFT = 2.0**52
 MAX_COUNT = 2**32
 
 # Output pixels warped per block of make_synthetic (41 images at 28x28).
-# Every block reads its corners from the one framed copy of the templates,
-# so it allocates only its template indices, positions, corners and
-# weights: about ten arrays the size of its own output, 256 KB each, where
-# one pass over all samples would hold about 15 arrays of the whole
-# dataset's size. 2**14 ran about 35% slower on 28x28 images; 2**16 tied.
+# Every block reads its corners from the one framed copy of the templates
+# and works in place: it allocates eight arrays the size of its own output
+# (256 KB each), its positions (then fractions), floors (then corner
+# indices), the fractions' complements, a weight and a gathered corner,
+# and holds at most seven at once, where one pass over all samples would
+# hold seven arrays of the whole dataset's size. 2**14 ran about 35%
+# slower on 28x28 images; 2**16 was no faster and took 1.9 MB more RSS.
 WARP_PIXELS = 1 << 15
 
 
@@ -142,21 +144,31 @@ def load_idx_labels(path) -> np.ndarray:
 
 
 def _frame(templates, cyclic: bool):
-    """One framed copy of the (side, side) templates, and its pad.
+    """One framed copy of the (side, side) templates as a flat array, and
+    its pad.
 
-    Cyclic frames append row 0 and column 0 after the last ones, so corner
-    r + 1 of a wrapped r needs no second wrap. Zero frames add two zero
-    rows and columns on every side. Each template is copied straight into
-    its frame, so no unframed stack of them is made.
+    Zero frames (pad 2) are rows of width side + 2: each template row ends
+    in two zero columns, which also serve as the next row's two leading
+    ones. Two zero rows sit above the first template, between consecutive
+    templates and below the last, and two zero elements lead the array,
+    so that row -2, column -2 of template 0 is element 0. That is about
+    (side + 2)**2 floats per template. Cyclic frames (pad 0, width
+    side + 1) append row 0 and column 0 after the last ones, so corner
+    r + 1 of a wrapped r needs no second wrap. Either way pixel (r, c) of
+    template t is element (t * width + r + pad) * width + c + pad, and
+    each template is copied straight into its frame, so no unframed stack
+    of them is made.
     """
-    side, pad = templates[0].shape[0], 0 if cyclic else 2
-    width = side + (1 if cyclic else 4)
-    framed = np.zeros((len(templates), width, width))
-    for frame, template in zip(framed, templates):
-        frame[pad:pad + side, pad:pad + side] = template
+    count, side, pad = len(templates), templates[0].shape[0], 0 if cyclic else 2
+    width = side + (1 if cyclic else 2)
+    framed = np.zeros(pad + (count * width + pad) * width)
+    start = pad * (width + 1)
+    body = framed[start:start + count * width * width].reshape(count, width, width)
+    for frame, template in zip(body, templates):
+        frame[:side, :side] = template
     if cyclic:
-        framed[:, side] = framed[:, 0]
-        framed[:, :, side] = framed[:, :, 0]
+        body[:, side] = body[:, 0]
+        body[:, :, side] = body[:, :, 0]
     return framed, pad
 
 
@@ -165,34 +177,49 @@ def _bilinear_sample(framed: np.ndarray, pad: int, index: np.ndarray,
     """Sample template index[s] of a _frame copy at fractional (row, col)
     positions into out[s]; zero fill (pad 2) or wrap (pad 0).
 
-    rows and cols broadcast to out's shape (S, side, side). The four
-    corners of every sample are gathered at once through flat indices
-    into the framed templates, template t at offset t * width**2. A
+    rows and cols broadcast to out's shape (S, side, side). They are used
+    up: on return they hold the fractional parts of the positions. The
+    four corners of every sample are gathered at once through flat
+    indices into the framed templates, laid out as _frame says. A
     top-left corner clipped into [-2, side] reads zeros for both of its
     rows (columns) whenever the unclipped ones lie outside the image.
     """
-    width, side = framed.shape[1], out.shape[1]
-    r0 = np.floor(rows).astype(int)
-    c0 = np.floor(cols).astype(int)
-    fr = rows - r0
-    fc = cols - c0
+    side = out.shape[1]
+    width = side + (2 if pad else 1)
+    # int64 floors, cast as they are written, and fractions taken against
+    # them: a position past 2**63 floors to -2**63 and keeps a huge
+    # fraction, so where a row and a column both are that far the weight
+    # overflows and the sample is refused (scale 1e-300); float floors
+    # would give fractions in [0, 1) and read zeros
+    r0 = np.floor(rows, out=np.empty(rows.shape, int), casting="unsafe")
+    c0 = np.floor(cols, out=np.empty(cols.shape, int), casting="unsafe")
+    fr = np.subtract(rows, r0, out=rows)
+    fc = np.subtract(cols, c0, out=cols)
     gr = 1 - fr
     gc = 1 - fc
     if pad:
-        r0, c0 = np.clip(r0, -2, side), np.clip(c0, -2, side)
+        np.clip(r0, -2, side, out=r0)
+        np.clip(c0, -2, side, out=c0)
     else:
-        r0, c0 = np.mod(r0, side), np.mod(c0, side)
-    base = (index * (width * width) + pad * (width + 1))[:, None, None]
-    corner = (base + r0 * width) + c0
-    del r0, c0  # two block-sized arrays fewer while the corners are gathered
-    out[...] = 0.0
+        np.mod(r0, side, out=r0)
+        np.mod(c0, side, out=c0)
+    r0 *= width
+    r0 += (index * (width * width) + pad * (width + 1))[:, None, None]
+    # rotations fill r0's buffer; translations' (S, side, 1) rows broadcast
+    corner = np.add(r0, c0, out=r0 if r0.shape == out.shape else None)
+    del r0, c0  # one block-sized array fewer while the corners are gathered
     weight, taken = np.empty(out.shape), np.empty(out.shape)
     # corners at offsets 0, 1, width and width + 1; every index is in the
-    # frame (wrapped or clipped above), so "clip" mode changes none
-    for step, a, b in ((0, gr, gc), (1, gr, fc), (width - 1, fr, gc), (1, fr, fc)):
-        corner += step
+    # frame (wrapped or clipped above), so "clip" mode changes none. The
+    # first corner's product goes straight into out, and adding 0.0 after
+    # it gives the bits of 0.0 + product, -0.0 pixels included.
+    np.multiply(gr, gc, out=weight)
+    framed.take(corner, out=taken, mode="clip")
+    np.multiply(taken, weight, out=out)
+    out += 0.0
+    for offset, a, b in ((1, gr, fc), (width, fr, gc), (width + 1, fr, fc)):
         np.multiply(a, b, out=weight)
-        framed.take(corner, out=taken, mode="clip")
+        framed[offset:].take(corner, out=taken, mode="clip")
         taken *= weight
         out += taken
 
@@ -216,8 +243,12 @@ def _rot_scale_positions(side: int, theta: np.ndarray, scale: np.ndarray):
     cos_t = np.cos(theta)[:, None, None]
     sin_t = np.sin(theta)[:, None, None]
     scale = scale[:, None, None]
-    src_r = (cos_t * u + sin_t * v) / scale + center
-    src_c = (-sin_t * u + cos_t * v) / scale + center
+    # one block-sized allocation each, then divided and shifted in place
+    src_r = cos_t * u + sin_t * v
+    src_c = -sin_t * u + cos_t * v
+    for src in (src_r, src_c):
+        src /= scale
+        src += center
     return src_r, src_c
 
 

@@ -8,6 +8,7 @@ for spectral norms, explicit index rolls for shifts.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -563,3 +564,15 @@ def oracle_synthetic(templates, spec, seed):
             images.append(oracle_warp(template, spec.kind, p0, p1, spec.cyclic).ravel())
             meta.append((p0, p1))
     return np.array(images), np.array(meta)
+
+
+class TracedPeak:
+    """Context manager: ``peak`` is the tracemalloc peak of its body."""
+
+    def __enter__(self):
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()

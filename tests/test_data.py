@@ -2,7 +2,6 @@ import hashlib
 import re
 import struct
 import sys
-import tracemalloc
 import warnings
 
 from unittest import mock
@@ -24,7 +23,7 @@ from torusparse.datasets import (
     warp_translate,
 )
 
-from conftest import oracle_synthetic, oracle_warp
+from conftest import TracedPeak, oracle_synthetic, oracle_warp
 
 
 def write_idx_images(path, images):
@@ -341,14 +340,9 @@ class TestVectorisedDraw:
         extra = []
         for count in (25_000, 100_000):
             spec = TransformSpec.translate2d(count, ranges=((-1.0, 1.0), (-1.0, 1.0)))
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
+            with TracedPeak() as traced:
                 ds = make_synthetic(templates, spec, seed=3)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            extra.append(peak - ds.images.nbytes - ds.meta.nbytes)
+            extra.append(traced.peak - ds.images.nbytes - ds.meta.nbytes)
         assert extra[1] - extra[0] < 2**20, extra
 
 
@@ -485,20 +479,32 @@ class TestSharedFrame:
     def test_peak_memory_is_one_framed_copy_of_the_templates(self):
         """2,000 templates of 28x28, one sample each: beyond the images and
         meta it returns, make_synthetic holds one zero-framed copy of the
-        templates (32x32 each) and the draws and temporaries of one block,
-        allowed 16 arrays of WARP_PIXELS floats. An unframed stack of the
-        templates kept beside the frame would add 12 MiB."""
+        templates (rows of 30, about 30x30 per template) and the draws and
+        temporaries of one block, allowed 8 arrays of WARP_PIXELS floats.
+        An unframed stack of the templates kept beside the frame would add
+        12 MiB."""
         templates = list(np.random.default_rng(5).uniform(0, 1, (2000, 28, 28)))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+        with TracedPeak() as traced:
             ds = make_synthetic(templates, TransformSpec.rotscale(1), seed=2)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        framed = len(templates) * 32 * 32 * 8
+        framed = (2 + (len(templates) * 30 + 2) * 30) * 8
+        allowance = 8 * datasets.WARP_PIXELS * 8
+        assert traced.peak <= framed + ds.images.nbytes + ds.meta.nbytes + allowance, \
+            traced.peak
+
+    def test_neighbouring_frames_share_their_zeros(self):
+        """100,000 templates of 1x1, where the frame is most of the peak:
+        it holds about (side + 2)**2 = 9 floats per template, 6.9 MiB,
+        where frames of (side + 4)**2 would hold 19 MiB. The allowance of
+        16 arrays of WARP_PIXELS floats covers one block's temporaries
+        (at side 1 the per-sample columns are block-sized too) and the
+        list of the templates."""
+        templates = list(np.random.default_rng(6).uniform(0, 1, (100_000, 1, 1)))
+        with TracedPeak() as traced:
+            ds = make_synthetic(templates, TransformSpec.rotscale(1), seed=3)
+        framed = len(templates) * 3 * 3 * 8
         allowance = 16 * datasets.WARP_PIXELS * 8
-        assert peak <= framed + ds.images.nbytes + ds.meta.nbytes + allowance, peak
+        assert traced.peak <= framed + ds.images.nbytes + ds.meta.nbytes + allowance, \
+            traced.peak
 
 
 @pytest.mark.parametrize("warp, args, message", [

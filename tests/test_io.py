@@ -1,6 +1,5 @@
 import itertools
 import struct
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,24 +23,12 @@ from torusparse.io import (
 from torusparse.stiefel import StiefelAdamState, riemannian_adam_step
 from torusparse.training import TrainConfig, _batch_gradients, init_model, train
 
-from conftest import scalar_offsets, small_model
+from conftest import TracedPeak, scalar_offsets, small_model
 
 
 @pytest.fixture
 def model():
     return small_model(0, d=12, L=3, k=4, n=2, noise_var=0.02, kappa_scale=1.5)
-
-
-class TracedPeak:
-    """Context manager: ``peak`` is the tracemalloc peak of its body."""
-
-    def __enter__(self):
-        tracemalloc.start()
-        return self
-
-    def __exit__(self, *exc):
-        self.peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
 
 
 class TestCheckpointRoundTrip:
