@@ -164,8 +164,7 @@ def _frame(templates, cyclic: bool):
     framed = np.zeros(pad + (count * width + pad) * width)
     start = pad * (width + 1)
     body = framed[start:start + count * width * width].reshape(count, width, width)
-    for frame, template in zip(body, templates):
-        frame[:side, :side] = template
+    body[:, :side, :side] = templates
     if cyclic:
         body[:, side] = body[:, 0]
         body[:, :, side] = body[:, :, 0]
@@ -413,7 +412,9 @@ def _draw_parameters(seed: int, n_templates: int, count: int, ranges) -> np.ndar
 
 def make_synthetic(templates, spec: TransformSpec, seed: int,
                    threads: int = 1) -> Dataset:
-    """Apply random warps to each template, template-major order.
+    """Apply random warps to each template, template-major order. The
+    templates are one (M, side, side) array, or anything that numpy reads
+    as one.
 
     Sample s of template t takes its two parameters, in spec.ranges
     order, from two `uniform` draws of a PCG64 generator seeded with
@@ -428,12 +429,15 @@ def make_synthetic(templates, spec: TransformSpec, seed: int,
     whichever thread warped it.
     """
     check_threads(threads)  # before the draws, which a huge count makes large
-    templates = [np.asarray(t, dtype=float) for t in templates]
-    if not templates:
+    try:
+        templates = np.asarray(templates, dtype=float)
+    except ValueError as err:  # a ragged list
+        raise ValueError("all templates must share one square shape") from err
+    if templates.shape[:1] == (0,):
         raise ValueError("need at least one template")
-    side = templates[0].shape[0]
-    if any(t.shape != (side, side) for t in templates):
+    if templates.ndim != 3 or templates.shape[1] != templates.shape[2]:
         raise ValueError("all templates must share one square shape")
+    side = templates.shape[1]
     if side == 0:
         raise ValueError("templates must be at least 1x1, got 0x0")
     count = spec.count_per_template
@@ -441,6 +445,7 @@ def make_synthetic(templates, spec: TransformSpec, seed: int,
 
     cyclic = spec.cyclic and spec.kind == "translate2d"  # rotations zero-fill
     framed, pad = _frame(templates, cyclic)
+    del templates  # a list was stacked into a copy: free it before the images
     images = np.empty((len(meta), side, side))
     block = max(1, WARP_PIXELS // (side * side))
 

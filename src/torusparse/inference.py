@@ -93,9 +93,35 @@ def code_gradient(
         raise ValueError("image length does not match model dimension")
     if mode not in ("exact", "approximate"):
         raise ValueError(f"unknown gradient mode {mode!r}")
+    rbar = _check_gradient_inputs(
+        model, rbar, np.broadcast_shapes(image.shape[:-1], code.shape[:-1]))
     back = _ascent_residual(_blocks(image @ model.basis), _blocks(code @ coupling.T),
                             _blocks(rbar), mode == "exact")
     return (back.view(float) @ coupling) / model.noise_var
+
+
+def _check_gradient_inputs(model, rbar, rows=(), grid=None) -> np.ndarray:
+    """``rbar`` as a float array, refused by name unless it holds one finite
+    (2L,) row of expected rotation pairs for each of ``rows``; with a
+    posterior ``grid``, refused unless its torus dimension and its weight
+    count match the model."""
+    rbar = np.asarray(rbar, dtype=float)
+    want = (*rows, 2 * model.freq.L)
+    if rbar.shape != want:
+        raise ValueError(f"rbar has shape {rbar.shape}; expected {want}, "
+                         f"two entries per block for L = {model.freq.L}")
+    bad = np.argwhere(~np.isfinite(rbar))
+    if bad.size:
+        raise ValueError(f"rbar[{', '.join(map(str, bad[0]))}] is "
+                         f"{rbar[tuple(bad[0])]}; must be finite")
+    if grid is not None:
+        if grid.n != model.freq.n:
+            raise ValueError(f"grid is over a torus of dimension n = {grid.n}; "
+                             f"the model's has n = {model.freq.n}")
+        if np.shape(grid.weights) != (grid.N**grid.n,):
+            raise ValueError(f"grid has weights of shape {np.shape(grid.weights)}; "
+                             f"expected ({grid.N**grid.n},), N**n for N = {grid.N}")
+    return rbar
 
 
 def fista(gradient, init: np.ndarray, step: float, threshold: float, steps: int):

@@ -19,17 +19,14 @@ import numpy as np
 from .torus import TWO_PI, FrequencyTable, grid_lattice
 
 GRID_POINT_LIMIT = 10_000_000
-# Images per pass of ``rotation_second_moment``: each pass gathers
-# (rows, 2L^2) complex values, 8.4 MB at L = 128.
-MOMENT_ROWS = 16
 # Nats below each row's peak at which ``grid_pass`` clamps the energy of a
 # batch whose span bound exceeds it: e^-600 is far above the subnormal range
 # (below e^-708), so exp and the expectation never see subnormal weights.
 SPAN_CLAMP = 600.0
 
 # Grid tables kept at once, one per (frequency table, N), oldest insert
-# evicted first: at least the inference table and the exact-mode pair table
-# of a few models or grids.
+# evicted first: room for the inference tables of a few models or grid
+# sizes in one process.
 TABLE_CACHE_ENTRIES = 8
 
 _TABLE_CACHE: dict = {}
@@ -196,10 +193,14 @@ def grid_energy(eta_hat: np.ndarray, tables: tuple) -> np.ndarray:
     return energy.reshape(b, -1)
 
 
-def _box_expectation(weights: np.ndarray, phases) -> np.ndarray:
-    """Sums of (B, N**n) grid weights times e^{i a . s} over the frequency
-    box: the last axis as one real GEMM against the (cos, sin) table, read
-    back as complex, the other axes by batched matmuls; (B, A_1...A_n)."""
+def grid_expectation(weights: np.ndarray, tables: tuple) -> np.ndarray:
+    """Expected (cos, sin)(omega_l . s) under (B, N**n) grid weights in the
+    half-spectrum frame, interleaved into (B, 2L): the adjoint of
+    ``grid_energy``. Sums the weights times e^{i a . s} over the frequency
+    box, the last axis as one real GEMM against the (cos, sin) table, read
+    back as complex, the other axes by batched matmuls; each block then
+    reads its cell of the box, whose (re, im) view is the (cos, sin) pair."""
+    phases, cells, _, _, _, _, _ = _split(tables)
     b = weights.shape[0]
     last = phases[-1]
     n_grid, rest = last.shape
@@ -207,48 +208,7 @@ def _box_expectation(weights: np.ndarray, phases) -> np.ndarray:
     for phase in phases[-2::-1]:
         partial = np.matmul(phase.T, partial.reshape(b, -1, n_grid, rest))
         rest *= phase.shape[1]
-    return partial.reshape(b, -1)
-
-
-def grid_expectation(weights: np.ndarray, tables: tuple) -> np.ndarray:
-    """Expected (cos, sin)(omega_l . s) under (B, N**n) grid weights in the
-    half-spectrum frame, interleaved into (B, 2L): the adjoint of
-    ``grid_energy``. Each block reads its cell of the box, whose (re, im)
-    view is the (cos, sin) pair."""
-    phases, cells, _, _, _, _, _ = _split(tables)
-    return np.take(_box_expectation(weights, phases), cells, axis=1).view(float)
-
-
-def rotation_second_moment(u: np.ndarray, weights: np.ndarray,
-                           freq: FrequencyTable, N: int) -> np.ndarray:
-    """Sum over a batch of E[R(s) u_i u_i^T R(s)^T], (2L, 2L), for (B, 2L)
-    coefficients u under (B, N**n) grid weights, MOMENT_ROWS images a pass.
-
-    With z_l = e^{i omega_l . s} w_l, w_l = u_lc + i u_ls, and the posterior's
-    characteristic function phi(k) = sum_s w(s) e^{i k . s}, E[z_l conj(z_m)] =
-    phi(omega_l - omega_m) w_l conj(w_m) and E[z_l z_m] = phi(omega_l + omega_m)
-    w_l w_m: each real 2x2 block is a half-sum of their real and imaginary parts.
-    phi is gathered from the expectation box in block order, each pair
-    reading its cell with the fold's sign, so no pass unfolds a frame.
-    """
-    L, e = freq.L, freq.entries
-    pairs = np.concatenate([e[:, None] - e[None], e[:, None] + e[None]])
-    phases, frame_cells, sign, order, _, _, _ = _split(
-        grid_tables(FrequencyTable(freq.n, pairs.reshape(-1, freq.n), 1), N))
-    cells = np.empty_like(frame_cells)
-    cells[order] = frame_cells
-    w = _blocks(u)
-    p_q = 0.0
-    for rows in (slice(a, a + MOMENT_ROWS) for a in range(0, w.shape[0], MOMENT_ROWS)):
-        phi = np.take(_box_expectation(weights[rows], phases), cells, axis=1)
-        phi.imag *= sign
-        phi = phi.reshape(-1, 2, L, L)
-        p_q = p_q + np.einsum("bl,bkm,bklm->klm", w[rows],
-                              np.stack([w[rows].conj(), w[rows]], axis=1), phi)
-    p, q = p_q
-    moment = np.stack([np.stack([p.real + q.real, q.imag - p.imag], axis=-1),
-                       np.stack([p.imag + q.imag, p.real - q.real], axis=-1)], axis=1)
-    return 0.5 * moment.reshape(2 * L, 2 * L)
+    return np.take(partial.reshape(b, -1), cells, axis=1).view(float)
 
 
 @dataclass(eq=False)

@@ -19,16 +19,24 @@ from typing import Optional
 import numpy as np
 
 from .datasets import normalize_batch
-from .inference import _ascent_residual, fista, infer_code_batch, spectral_norm
+from .inference import (
+    _ascent_residual,
+    _check_gradient_inputs,
+    fista,
+    infer_code_batch,
+    spectral_norm,
+)
 from .lanes import Lanes, run, split
-from .posterior import TorusPrior, _blocks, check_grid_points, rotation_second_moment
+from .posterior import TorusPrior, _blocks, check_grid_points
 from .stiefel import StiefelAdamState, phi_update, positive_qr, riemannian_adam_step
 from .torus import (
+    TWO_PI,
     FrequencyTable,
     TorusOperator,
     check_basis_shape,
     check_orthonormal,
     frequency_table_auto,
+    grid_lattice,
     validate_frequency_table,
 )
 
@@ -165,17 +173,30 @@ def init_model(cfg: TrainConfig, rng_seed: int) -> ModelParams:
 
 
 def _gradients_at(image, code, model, rbar, mode, grid=None):
-    """The batch gradients as a B=1 call, behind the per-image functions."""
+    """The ambient (dictionary, basis) gradients at one image: a B=1
+    ``_batch_gradients`` call, with the normal term -B S / sigma^2 added
+    back to H. S is (R u)^T (R u) in approximate mode; in exact mode it is
+    the second moment of R u, a dense quadrature over the posterior
+    ``grid``, and without a grid the basis gradient is None."""
     image, code = np.asarray(image, dtype=float), np.asarray(code, dtype=float)
     if image.shape[-1] != model.dim or code.shape[-1] != model.n_atoms:
         raise ValueError("image/code shapes do not match model")
-    args = (image[None], code[None], model, np.asarray(rbar, dtype=float)[None])
-    if mode == "approximate":
-        return _batch_gradients_approx(*args)
-    if mode != "exact":
+    if mode not in ("exact", "approximate"):
         raise ValueError(f"unknown gradient mode {mode!r}")
-    posterior = () if grid is None else (grid.weights[None], grid.N)
-    return _batch_gradients_exact(*args, *posterior)
+    rbar = _check_gradient_inputs(model, rbar, grid=grid)[None]
+    exact = mode == "exact"
+    grad_dict, grad_basis, _ = _batch_gradients(image[None], code[None], model, rbar, exact)
+    u = _blocks(code[None] @ (model.basis.T @ model.dictionary).T)
+    if not exact:
+        rotated = (_blocks(rbar) * u).view(float)
+        moment = rotated.T @ rotated
+    elif grid is None:
+        return grad_dict, None
+    else:
+        angles = grid_lattice(model.freq.n, grid.N) @ model.freq.entries.T % grid.N
+        rotated = (np.exp((1j * TWO_PI / grid.N) * angles) * u).view(float)
+        moment = (rotated * grid.weights[:, None]).T @ rotated
+    return grad_dict, grad_basis - model.basis @ moment / model.noise_var
 
 
 def dictionary_gradient(image, code, model, rbar, mode="approximate"):
@@ -186,8 +207,8 @@ def dictionary_gradient(image, code, model, rbar, mode="approximate"):
 def basis_gradient(image, code, model, rbar, mode="approximate", grid=None):
     """Ambient likelihood ascent gradient for the basis at one image. The
     approximate form treats the expected transform and expected residual
-    as independent; the exact form keeps the rotation's second moment
-    under the posterior ``grid``."""
+    as independent; the exact form keeps the rotation's second moment,
+    a dense quadrature over the posterior ``grid``."""
     if mode == "exact" and grid is None:
         raise ValueError("exact basis gradient requires the posterior grid")
     return _gradients_at(image, code, model, rbar, mode, grid)[1]
@@ -204,10 +225,11 @@ def _batch_gradients(images, codes, model, rbar, exact, v=None, lanes=None):
     b sigma^2. H is the ambient basis gradient without its -B S term, S
     symmetric ((R u)^T (R u), or the second moment of R u in exact mode);
     B S is normal to the manifold, so H has the ambient gradient's tangent
-    part. As B^T B = I, the squared residual |x - B R u|^2 is |x|^2 -
-    2 v . R u + |R u|^2. ``v`` is the projection X B when the caller
-    already holds it. With ``lanes``, the D rows of both gradients are
-    formed in blocks on the lanes.
+    part, and only the per-image ``basis_gradient`` adds -B S back. As
+    B^T B = I, the squared residual |x - B R u|^2 is |x|^2 - 2 v . R u +
+    |R u|^2. ``v`` is the projection X B when the caller already holds it.
+    With ``lanes``, the D rows of both gradients are formed in blocks on
+    the lanes.
     """
     rot = _blocks(rbar)
     u = _blocks(codes @ (model.basis.T @ model.dictionary).T)
@@ -230,31 +252,6 @@ def _batch_gradients(images, codes, model, rbar, exact, v=None, lanes=None):
     run(lanes, rows, split(model.dim, lanes))
     sq_residual = np.vdot(images, images) - 2.0 * np.vdot(v, ru) + np.vdot(ru, ru)
     return grad_dict, grad_basis, float(sq_residual / images.shape[0])
-
-
-def _batch_gradients_approx(images, codes, model, rbar):
-    """Batch-mean ambient approximate gradients: ``_batch_gradients`` with
-    the normal term -B (R u)^T (R u) / (b sigma^2) added back to H."""
-    grad_dict, grad_basis, residual = _batch_gradients(images, codes, model, rbar, False)
-    u = _blocks(codes @ (model.basis.T @ model.dictionary).T)
-    ru = (_blocks(rbar) * u).view(float)
-    scale = images.shape[0] * model.noise_var
-    return grad_dict, grad_basis - model.basis @ (ru.T @ ru) / scale, residual
-
-
-def _batch_gradients_exact(images, codes, model, rbar, weights=None, n_grid=None):
-    """Batch-mean ambient exact gradients: ``_batch_gradients`` in exact
-    mode, with the normal term -B M / (b sigma^2) added back to H, M the
-    second moment of R u under the (B, N**n) grid ``weights``. Training
-    uses only H, so M serves only the ambient ``basis_gradient``. Without
-    weights the basis gradient is None."""
-    grad_dict, grad_basis, residual = _batch_gradients(images, codes, model, rbar, True)
-    if weights is None:
-        return grad_dict, None, residual
-    u = codes @ (model.basis.T @ model.dictionary).T
-    moment = rotation_second_moment(u, weights, model.freq, n_grid)
-    scale = images.shape[0] * model.noise_var
-    return grad_dict, grad_basis - model.basis @ moment / scale, residual
 
 
 def _run_epochs(data, dim: int, cfg: TrainConfig, shuffle_key, batch_step,
@@ -320,7 +317,7 @@ def train(
     Each batch's gradients come from ``_batch_gradients``. The basis moves
     along its term H, which has the ambient gradient's tangent part, the
     only part Riemannian Adam uses; so exact mode needs no second
-    posterior pass and no rotation second moment. Inference runs in tiles
+    posterior pass and never forms the normal term. Inference runs in tiles
     fixed by the batch on up to ``threads`` threads; the gradients and the
     Stiefel step run in fixed blocks on one set of ``threads`` lanes, open
     for the whole run. So the bits do not depend on ``threads``.

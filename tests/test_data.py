@@ -507,6 +507,37 @@ class TestSharedFrame:
             traced.peak
 
 
+    def test_an_array_of_templates_peaks_no_higher_than_a_list(self):
+        """100,000 templates of 1x1 as one array are read as that array, not
+        as one view per template (which would add about 12 MiB), so they
+        peak no higher than the same templates as a list, which is stacked
+        into one array and freed before the images are made. Both runs
+        follow a warm-up call; a page of slack covers the interpreter's own
+        small allocations. The bytes are the same."""
+        templates = np.random.default_rng(7).uniform(0, 1, (100_000, 1, 1))
+        listed = list(templates)
+        spec = TransformSpec.rotscale(1)
+        make_synthetic(templates[:2], spec, seed=4)
+        with TracedPeak() as as_array:
+            want = make_synthetic(templates, spec, seed=4)
+        with TracedPeak() as as_list:
+            got = make_synthetic(listed, spec, seed=4)
+        assert as_array.peak <= as_list.peak + 4096, (as_array.peak, as_list.peak)
+        assert got.images.tobytes() == want.images.tobytes()
+
+
+@pytest.mark.parametrize("templates, message", [
+    ([], "need at least one template"),
+    (np.zeros((0, 4, 4)), "need at least one template"),
+    ([np.ones((2, 2)), np.ones((3, 3))], "all templates must share one square shape"),
+    ([np.ones((2, 3))], "all templates must share one square shape"),
+    (np.ones((4, 4)), "all templates must share one square shape"),
+    ([np.zeros((0, 0))] * 3, "templates must be at least 1x1, got 0x0"),
+])
+def test_make_synthetic_refuses_templates_by_name(templates, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make_synthetic(templates, TransformSpec.rotscale(2), seed=0)
+
 @pytest.mark.parametrize("warp, args, message", [
     (warp_rot_scale, (0.3, 1e-300), "(theta=0.3, scale=1e-300) warps to a non-finite pixel"),
     (warp_rot_scale, (np.nan, 1.0), "theta low bound nan is not finite"),

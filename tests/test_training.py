@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from functools import partial
 from hypothesis import given, settings, strategies as st
 
 import torusparse as tp
 from torusparse.posterior import (
-    MOMENT_ROWS,
+    PosteriorGrid,
     batch_posterior,
     expected_rotation,
     natural_params,
@@ -20,11 +21,11 @@ from torusparse.stiefel import (
     riemannian_adam_step,
     tangent_project,
 )
+from torusparse.torus import rotate_pairs
 from torusparse.training import (
     BaselineState,
     _batch_gradients,
-    _batch_gradients_approx,
-    _batch_gradients_exact,
+    _gradients_at,
     basis_gradient,
     dictionary_gradient,
     init_model,
@@ -258,6 +259,58 @@ class TestBasisGradient:
         assert np.abs(grad - fd).max() / np.abs(fd).max() < 1e-4
 
 
+class TestGradientRefusals:
+    """The per-image gradients refuse a bad rbar or posterior grid by name,
+    where numpy would broadcast it or fail on a shape."""
+
+    def setup_method(self):
+        self.model = small_model(19, d=14, L=5, k=3, n=2)
+        self.image = np.linspace(0.1, 1.0, 14)
+        self.code = np.array([0.5, 0.2, 0.1])
+        self.grid = posterior_grid(
+            posterior_natural_params(self.image, self.code, self.model), self.model.freq, 6)
+        self.rbar = expected_rotation(self.grid, self.model.freq)
+
+    def gradients(self, rbar):
+        """Each per-image gradient at this image and code, in both modes."""
+        args = (self.image, self.code, self.model, rbar)
+        return [partial(grad, *args, mode)
+                for grad in (tp.code_gradient, dictionary_gradient)
+                for mode in ("approximate", "exact")] + [
+            partial(basis_gradient, *args), partial(basis_gradient, *args, "exact", self.grid)]
+
+    def test_rbar_of_another_shape(self):
+        for rbar in (self.rbar[:2], self.rbar[:-1], np.tile(self.rbar, (3, 1))):
+            for call in self.gradients(rbar):
+                with pytest.raises(ValueError, match=rf"rbar has shape \({len(rbar)},"):
+                    call()
+        with pytest.raises(ValueError, match=r"rbar has shape \(10,\); expected \(2, 10\)"):
+            tp.code_gradient(np.stack([self.image] * 2), self.code, self.model, self.rbar)
+
+    def test_non_finite_rbar_entry_by_index(self):
+        for bad in (np.nan, np.inf):
+            rbar = self.rbar.copy()
+            rbar[3] = bad
+            for call in self.gradients(rbar):
+                with pytest.raises(ValueError, match=rf"rbar\[3\] is {bad}; must be finite"):
+                    call()
+        rbar = np.stack([self.rbar] * 2)
+        rbar[1, 4] = np.nan
+        with pytest.raises(ValueError, match=r"rbar\[1, 4\] is nan"):
+            tp.code_gradient(np.stack([self.image] * 2), self.code, self.model, rbar)
+
+    def test_grid_of_another_torus_dimension(self):
+        grid = posterior_grid(np.zeros(10), replace(self.model.freq, n=1,
+                              entries=self.model.freq.entries[:, :1]), 6)
+        with pytest.raises(ValueError, match="torus of dimension n = 1; the model's has n = 2"):
+            basis_gradient(self.image, self.code, self.model, self.rbar, "exact", grid)
+
+    def test_grid_with_another_weight_count(self):
+        grid = replace(self.grid, weights=self.grid.weights[:-1])
+        with pytest.raises(ValueError, match=r"weights of shape \(35,\); expected \(36,\)"):
+            basis_gradient(self.image, self.code, self.model, self.rbar, "exact", grid)
+
+
 @st.composite
 def gradient_cases(draw):
     """A random small model with broad posteriors over a random batch:
@@ -281,6 +334,20 @@ def gradient_cases(draw):
     return model, images, codes, n_grid
 
 
+def weights_grid(model, n_grid, weights):
+    """A posterior grid holding the given (N**n,) weights."""
+    return PosteriorGrid(N=n_grid, n=model.freq.n, eta_hat=np.zeros(2 * model.n_freq),
+                         weights=weights, log_norm=0.0)
+
+
+def tangent_gap(model, got, want):
+    """The norm of the tangent parts' difference relative to the norm of
+    ``want``'s tangent part."""
+    tangent = tangent_project(model.basis, want)
+    scale = max(np.linalg.norm(tangent), np.finfo(float).tiny)
+    return np.linalg.norm(tangent_project(model.basis, got) - tangent) / scale
+
+
 class TestBatchGradientOracle:
     @settings(max_examples=60, deadline=None)
     @given(case=gradient_cases())
@@ -292,38 +359,71 @@ class TestBatchGradientOracle:
         rbar = post.rbar
         rho = rbar[:, 0::2] ** 2 + rbar[:, 1::2] ** 2
         assert rho.min() < 0.5  # broad posteriors: the covariance term is live
-        for mode, batched in (
-            ("exact", _batch_gradients_exact(images, codes, model, rbar, weights, n_grid)),
-            ("approximate", _batch_gradients_approx(images, codes, model, rbar)),
-        ):
+        for mode in ("exact", "approximate"):
+            grid = [weights_grid(model, n_grid, w) for w in weights]
             refs = [oracle_gradients(images[i], codes[i], model, rbar[i], mode,
                                      weights[i], n_grid) for i in range(len(images))]
-            for got, ref in zip(batched[:2], zip(*refs)):
-                np.testing.assert_allclose(got, np.mean(ref, axis=0), rtol=0, atol=1e-12)
-        grad_d, grad_b, _ = _batch_gradients_exact(images, codes, model, rbar)
-        assert grad_b is None
-        np.testing.assert_allclose(
-            grad_d, np.mean([oracle_gradients(images[i], codes[i], model, rbar[i], "exact")[0]
-                             for i in range(len(images))], axis=0), rtol=0, atol=1e-12)
+            for i, ref in enumerate(refs):
+                got = _gradients_at(images[i], codes[i], model, rbar[i], mode, grid[i])
+                for g, r in zip(got, ref):
+                    np.testing.assert_allclose(g, r, rtol=0, atol=1e-12)
+            grad_d, h, _ = _batch_gradients(images, codes, model, rbar, mode == "exact")
+            want_d, want_b = (np.mean(r, axis=0) for r in zip(*refs))
+            np.testing.assert_allclose(grad_d, want_d, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(tangent_project(model.basis, h),
+                                       tangent_project(model.basis, want_b),
+                                       rtol=0, atol=1e-12)
+        for i in range(len(images)):
+            grad_d, grad_b = _gradients_at(images[i], codes[i], model, rbar[i], "exact")
+            assert grad_b is None
+            np.testing.assert_allclose(
+                grad_d, oracle_gradients(images[i], codes[i], model, rbar[i], "exact")[0],
+                rtol=0, atol=1e-12)
 
-
-    def test_exact_batch_spanning_several_moment_passes(self):
+    def test_exact_basis_gradient_repeats_bit_for_bit(self):
         model = small_model(16, d=14, L=5, k=3, n=2, noise_var=0.3)
         rng = np.random.default_rng(17)
-        batch = 2 * MOMENT_ROWS + 3
-        images = rng.standard_normal((batch, 14))
+        images = rng.standard_normal((35, 14))
         images /= np.linalg.norm(images, axis=1, keepdims=True)
-        codes = rng.uniform(0, 1, (batch, 3))
+        codes = rng.uniform(0, 1, (35, 3))
         post, weights = batch_posterior(
             images @ model.basis, codes, model.basis.T @ model.dictionary,
             natural_params(model.prior), model.noise_var, model.freq, 9)
-        grads = _batch_gradients_exact(images, codes, model, post.rbar, weights, 9)
-        refs = [oracle_gradients(images[i], codes[i], model, post.rbar[i], "exact",
-                                 weights[i], 9) for i in range(batch)]
-        for got, ref in zip(grads[:2], zip(*refs)):
-            np.testing.assert_allclose(got, np.mean(ref, axis=0), rtol=0, atol=1e-12)
-        again = _batch_gradients_exact(images, codes, model, post.rbar, weights, 9)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads[:2], again[:2]))
+        for i in range(35):
+            grid = weights_grid(model, 9, weights[i])
+            got = basis_gradient(images[i], codes[i], model, post.rbar[i], "exact", grid)
+            want = oracle_gradients(images[i], codes[i], model, post.rbar[i], "exact",
+                                    weights[i], 9)[1]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            again = basis_gradient(images[i], codes[i], model, post.rbar[i], "exact", grid)
+            assert got.tobytes() == again.tobytes()
+
+    def test_exact_basis_gradient_at_the_paper_shape(self):
+        model = init_model(tp.TrainConfig(), 3)
+        rng = np.random.default_rng(4)
+        image = normalize_batch(rng.uniform(0, 1, model.dim))
+        code = rng.uniform(0, 0.5, model.n_atoms)
+        grid = posterior_grid(posterior_natural_params(image, code, model), model.freq, 50)
+        rbar = expected_rotation(grid, model.freq)
+        grad_b = basis_gradient(image, code, model, rbar, "exact", grid)
+        assert np.isfinite(grad_b).all()
+        h = _batch_gradients(image[None], code[None], model, rbar[None], True)[1]
+        assert tangent_gap(model, grad_b, h) <= 1e-12
+
+    def test_exact_basis_gradient_caches_no_grid_table(self, monkeypatch):
+        from torusparse import posterior
+
+        monkeypatch.setattr(posterior, "_TABLE_CACHE", {})
+        model = small_model(18, d=14, L=5, k=3, n=2)
+        image = np.linspace(0.1, 1.0, 14)
+        code = np.array([0.5, 0.2, 0.1])
+        grid = posterior_grid(posterior_natural_params(image, code, model), model.freq, 9)
+        rbar = expected_rotation(grid, model.freq)
+        cached = list(posterior._TABLE_CACHE)
+        assert len(cached) == 1
+        basis_gradient(image, code, model, rbar, "exact", grid)
+        assert list(posterior._TABLE_CACHE) == cached
+
 
 class TestTrain:
     def test_bitwise_deterministic(self):
@@ -378,10 +478,10 @@ class TestTrain:
         images = rng.uniform(0.05, 1, (16, 12))
         images /= np.linalg.norm(images, axis=1, keepdims=True)
         codes, post = tp.infer_code_batch(images, model, cfg)
-        gd, gb, _ = _batch_gradients_approx(images, codes, model, post.rbar)
+        gd, gb, _ = _batch_gradients(images, codes, model, post.rbar, False)
         perm = rng.permutation(16)
-        gd_p, gb_p, _ = _batch_gradients_approx(
-            images[perm], codes[perm], model, post.rbar[perm]
+        gd_p, gb_p, _ = _batch_gradients(
+            images[perm], codes[perm], model, post.rbar[perm], False
         )
         assert np.linalg.norm(gd - gd_p) / np.linalg.norm(gd) < 1e-10
         assert np.linalg.norm(gb - gb_p) / np.linalg.norm(gb) < 1e-10
@@ -395,7 +495,7 @@ class TestTrain:
         images = rng.uniform(0.05, 1, (6, 12))
         images /= np.linalg.norm(images, axis=1, keepdims=True)
         codes, post = tp.infer_code_batch(images, model, cfg)
-        gd, gb, _ = _batch_gradients_approx(images, codes, model, post.rbar)
+        gd, gb, _ = _batch_gradients(images, codes, model, post.rbar, False)
         gd_ref = np.mean(
             [dictionary_gradient(images[i], codes[i], model, post.rbar[i])
              for i in range(6)], axis=0)
@@ -403,7 +503,8 @@ class TestTrain:
             [basis_gradient(images[i], codes[i], model, post.rbar[i])
              for i in range(6)], axis=0)
         np.testing.assert_allclose(gd, gd_ref, atol=1e-12)
-        np.testing.assert_allclose(gb, gb_ref, atol=1e-12)
+        np.testing.assert_allclose(tangent_project(model.basis, gb),
+                                   tangent_project(model.basis, gb_ref), atol=1e-12)
 
     def test_threads_reproducible(self):
         cfg = tiny_config()
@@ -651,12 +752,12 @@ def one_batch_config(mode):
 
 def test_exact_training_batch_runs_one_posterior_pass_per_chunk(monkeypatch):
     # one final pass per tile, with three tiles in two groups at two
-    # threads, and no second moment
+    # threads, and no per-image ambient gradient
     from torusparse import inference, posterior, training
 
     calls = []  # list.append is atomic across the inference threads
     for module in (posterior, inference, training):
-        for name in ("batch_posterior", "rotation_second_moment"):
+        for name in ("batch_posterior", "_gradients_at"):
             if hasattr(module, name):
                 def spy(*args, _inner=getattr(module, name), _name=name):
                     calls.append(_name)
@@ -706,14 +807,13 @@ def test_training_batch_matches_the_ambient_gradient_step(mode):
     order = np.random.default_rng([cfg.seed, 1]).permutation(cfg.batch_size)
     batch = normalize_batch(data.images)[order]
     codes, post = tp.infer_code_batch(batch, model, cfg)
-    if mode == "exact":
-        post, weights = batch_posterior(
-            batch @ model.basis, codes, model.basis.T @ model.dictionary,
-            natural_params(model.prior), model.noise_var, model.freq, cfg.grid_size)
-        grad_d, grad_b, _ = _batch_gradients_exact(
-            batch, codes, model, post.rbar, weights, cfg.grid_size)
-    else:
-        grad_d, grad_b, _ = _batch_gradients_approx(batch, codes, model, post.rbar)
+    post, weights = batch_posterior(
+        batch @ model.basis, codes, model.basis.T @ model.dictionary,
+        natural_params(model.prior), model.noise_var, model.freq, cfg.grid_size)
+    grad_d, grad_b = (np.mean(g, axis=0) for g in zip(*(
+        _gradients_at(batch[i], codes[i], model, post.rbar[i], mode,
+                      weights_grid(model, cfg.grid_size, weights[i]))
+        for i in range(cfg.batch_size))))
     _, basis = riemannian_adam_step(
         StiefelAdamState.init(model.basis.shape, cfg.lr_basis), model.basis, grad_b)
     dictionary = phi_update(model.dictionary, grad_d, cfg.lr_dict)
@@ -728,17 +828,20 @@ def test_basis_term_has_the_ambient_gradient_tangent_part(case, exact, seed):
     rng = np.random.default_rng(seed)
     rbar = rng.uniform(-1, 1, (images.shape[0], 2 * model.n_freq))
     grad_d, h, residual = _batch_gradients(images, codes, model, rbar, exact)
-    if exact:
-        weights = rng.uniform(0, 1, (images.shape[0], n_grid**model.freq.n))
-        weights /= weights.sum(axis=1, keepdims=True)
-        ambient = _batch_gradients_exact(images, codes, model, rbar, weights, n_grid)
-    else:
-        ambient = _batch_gradients_approx(images, codes, model, rbar)
-    assert grad_d.tobytes() == ambient[0].tobytes()
-    assert residual == ambient[2]
-    tangent = tangent_project(model.basis, ambient[1])
-    scale = max(np.linalg.norm(tangent), np.finfo(float).tiny)
-    assert np.linalg.norm(tangent_project(model.basis, h) - tangent) <= 1e-12 * scale
+    weights = rng.uniform(0, 1, (images.shape[0], n_grid**model.freq.n))
+    weights /= weights.sum(axis=1, keepdims=True)
+    ambient = [_gradients_at(images[i], codes[i], model, rbar[i],
+                             "exact" if exact else "approximate",
+                             weights_grid(model, n_grid, weights[i]))
+               for i in range(images.shape[0])]
+    want_d, want_b = (np.mean(g, axis=0) for g in zip(*ambient))
+    np.testing.assert_allclose(grad_d, want_d, rtol=1e-12,
+                               atol=1e-12 * np.abs(want_d).max())
+    u = codes @ (model.basis.T @ model.dictionary).T
+    rotated = rotate_pairs(rbar[:, 0::2], rbar[:, 1::2], u) @ model.basis.T
+    want_residual = np.mean(np.sum((images - rotated) ** 2, axis=1))
+    assert abs(residual - want_residual) <= 1e-12 * max(want_residual, 1.0)
+    assert tangent_gap(model, h, want_b) <= 1e-12
     sym = rng.standard_normal((2 * model.n_freq,) * 2)
     sym += sym.T
     normal = tangent_project(model.basis, model.basis @ sym)
