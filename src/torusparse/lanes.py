@@ -6,7 +6,7 @@ among them, and returns once every block is done. A block writes its own
 part of an array the caller allocated, so which thread runs it never
 changes the bytes: they depend on the blocks alone. ``split`` cuts a
 length into blocks that depend on that length only, so every thread
-count gives the same blocks and the same bits.
+count, and a call without lanes, gives the same blocks and the same bits.
 """
 
 from __future__ import annotations
@@ -79,11 +79,11 @@ class Lanes:
         return results
 
 
-def split(n: int, lanes: Optional[Lanes]) -> list:
-    """Slices cutting range(n) into blocks: the whole range without lanes;
-    with lanes, min(n, SPLIT_BLOCKS) blocks of even size whatever their
-    thread count."""
-    count = 1 if lanes is None else max(1, min(n, SPLIT_BLOCKS))
+def split(n: int) -> list:
+    """Slices cutting range(n) into min(n, SPLIT_BLOCKS) blocks of even
+    size, one empty block at n = 0: they depend on the length alone, so
+    every thread count, and no lanes at all, gives the same blocks."""
+    count = max(1, min(n, SPLIT_BLOCKS))
     bounds = [n * k // count for k in range(count + 1)]
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 

@@ -27,23 +27,20 @@ ADAM_EPS = 1e-8
 
 
 def tangent_project(point: np.ndarray, grad: np.ndarray,
-                    lanes: Optional[Lanes] = None) -> np.ndarray:
+                    lanes: Optional[Lanes] = None,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
     """Project an ambient gradient onto the tangent space at a Stiefel point.
 
-    With ``lanes``, B^T G is formed in blocks of its rows and
-    B (B^T G + G^T B) / 2 in blocks of rows, run on the lanes."""
+    B^T G is formed in blocks of its rows and B (B^T G + G^T B) / 2 in
+    blocks of rows, set by the shape alone: ``lanes`` only picks the
+    threads. The result goes into ``out`` (overlapping neither input)
+    when given, else into a new array."""
     if grad.shape != point.shape:
         raise ValueError(f"gradient shape {grad.shape} != point shape {point.shape}")
-    return _tangent_project_into(point, grad, np.empty(grad.shape), lanes)
-
-
-def _tangent_project_into(point, grad, out, lanes):
-    """``tangent_project`` written into ``out``, which overlaps neither
-    ``point`` nor ``grad``; returns ``out``."""
+    out = np.empty(grad.shape) if out is None else out
     width = point.shape[1]
     inner = np.empty((width, width))
-    run(lanes, lambda c: np.matmul(point[:, c].T, grad, out=inner[c]),
-        split(width, lanes))
+    run(lanes, lambda c: np.matmul(point[:, c].T, grad, out=inner[c]), split(width))
     inner += inner.T
     inner *= 0.5
 
@@ -51,7 +48,7 @@ def _tangent_project_into(point, grad, out, lanes):
         np.matmul(point[r], inner, out=out[r])
         np.subtract(grad[r], out[r], out=out[r])
 
-    run(lanes, rows, split(point.shape[0], lanes))
+    run(lanes, rows, split(point.shape[0]))
     return out
 
 
@@ -68,10 +65,10 @@ def orthonormality_error(q: np.ndarray) -> float:
         return _identity_error(q.T @ q)
 
 
-def _split_gram(a: np.ndarray, lanes: Lanes) -> np.ndarray:
+def _split_gram(a: np.ndarray, lanes: Optional[Lanes]) -> np.ndarray:
     """A^T A in a fixed 2 x 2 form over the two column halves of A: one
     block forms the two diagonal Gram blocks, the other the off-diagonal
-    block and its mirror, so the bytes are the same at every thread count.
+    block and its mirror, so the bytes are the same with any lanes or none.
     A huge finite A overflows to inf or NaN without a warning."""
     width = a.shape[1]
     h = (width + 1) // 2
@@ -87,7 +84,7 @@ def _split_gram(a: np.ndarray, lanes: Lanes) -> np.ndarray:
                 np.matmul(left.T, right, out=gram[:h, h:])
                 np.copyto(gram[h:, :h], gram[:h, h:].T)
 
-    lanes.map(block, (True, False))
+    run(lanes, block, (True, False))
     return gram
 
 
@@ -110,7 +107,8 @@ def _invert_lower(low: np.ndarray) -> np.ndarray:
     return out
 
 
-def positive_qr(y: np.ndarray, lanes: Optional[Lanes] = None):
+def positive_qr(y: np.ndarray, lanes: Optional[Lanes] = None,
+                out: Optional[np.ndarray] = None):
     """Q factor and R diagonal of the QR factorization of ``y`` whose R
     diagonal is positive.
 
@@ -120,28 +118,19 @@ def positive_qr(y: np.ndarray, lanes: Optional[Lanes] = None):
     factorization fails or Q misses orthonormality by more than
     QR_ORTHONORMALITY_TOL (Y too ill-conditioned), Householder QR with the
     diagonal signs fixed is used instead (Fukaya et al. 2014, CholeskyQR2).
-    With ``lanes``, Y^T Y and the Q^T Q check take ``_split_gram``'s form
-    and Y chol^-T is formed in blocks of rows, run on the lanes; the
-    Cholesky factor and its inverse stay on the calling thread. Q is a
-    new array; the Riemannian Adam step writes it into a buffer of its own.
+    Y^T Y and the Q^T Q check take ``_split_gram``'s form and Y chol^-T is
+    formed in blocks of rows, set by the shape alone: ``lanes`` only picks
+    the threads. The Cholesky factor and its inverse stay on the calling
+    thread. Q goes into ``out`` when given, else into a new array; ``out``
+    must not overlap ``y``, which the Householder fallback reads after
+    CholeskyQR has written its rejected Q.
     """
-    return _positive_qr_into(y, np.empty(y.shape), lanes)
-
-
-def _positive_qr_into(y, q, lanes):
-    """``positive_qr`` with Q written into ``q``, which must not overlap
-    ``y``: the Householder fallback reads ``y`` after CholeskyQR has
-    written its rejected Q."""
+    q = np.empty(y.shape) if out is None else out
     try:
-        chol = np.linalg.cholesky(y.T @ y if lanes is None else _split_gram(y, lanes))
+        chol = np.linalg.cholesky(_split_gram(y, lanes))
         inverse_t = _invert_lower(chol).T
-        run(lanes, lambda r: np.matmul(y[r], inverse_t, out=q[r]),
-            split(y.shape[0], lanes))
-        if lanes is None:
-            error = orthonormality_error(q)
-        else:
-            error = _identity_error(_split_gram(q, lanes))
-        if error <= QR_ORTHONORMALITY_TOL:
+        run(lanes, lambda r: np.matmul(y[r], inverse_t, out=q[r]), split(y.shape[0]))
+        if _identity_error(_split_gram(q, lanes)) <= QR_ORTHONORMALITY_TOL:
             return q, np.diag(chol)
     except np.linalg.LinAlgError:
         pass
@@ -157,14 +146,14 @@ def retract(point: np.ndarray, step: np.ndarray,
 
     A NaN or infinity in ``point`` or ``step`` raises FloatingPointError,
     and an R diagonal below 1e-12 of max|point| + max|step| (at least 1)
-    raises LinAlgError. With ``lanes``, point + step and those maxima are
-    formed in blocks of rows, run on the lanes, as is ``positive_qr``.
+    raises LinAlgError. point + step and those maxima are formed in blocks
+    of rows, as is ``positive_qr``; ``lanes`` only picks the threads.
     """
     if step.shape != point.shape:
         raise ValueError(f"step shape {step.shape} != point shape {point.shape}")
     y = np.empty(point.shape)
     bounds = run(lanes, lambda r: _retraction_input(point, step, y, r),
-                 split(point.shape[0], lanes))
+                 split(point.shape[0]))
     return _retract_into(y, bounds, np.empty(point.shape), lanes)
 
 
@@ -188,7 +177,7 @@ def _retract_into(y, bounds, q, lanes):
     scale = bound[:2].max() + bound[2:].max()
     if not np.isfinite(scale):
         raise FloatingPointError("non-finite retraction input")
-    diag = _positive_qr_into(y, q, lanes)[1]
+    diag = positive_qr(y, lanes, out=q)[1]
     if np.any(diag < 1e-12 * max(scale, 1.0)):
         raise np.linalg.LinAlgError("rank-deficient retraction input")
     return q
@@ -230,14 +219,14 @@ def riemannian_adam_step(
     transported first moment (the new ``m1``); S holds the step, then Q
     (the new point); two more hold the new first moment before transport
     and the new second moment. The input point, gradient and state are not
-    modified. With ``lanes``, the projections, the moments with Y and its
-    rank scale, and the retraction run in blocks on the lanes; the blocks,
-    and so the bits, do not depend on the number of lanes.
+    modified. The projections, the moments with Y and its rank scale, and
+    the retraction run in blocks set by the shape alone: ``lanes`` only
+    picks the threads, so the bits are the same with any lanes or none.
     """
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite basis gradient")
     tangent, step, m1, m2 = (np.empty(point.shape) for _ in range(4))
-    _tangent_project_into(point, grad, tangent, lanes)
+    tangent_project(point, grad, lanes, out=tangent)
     count = state.step_count + 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
 
@@ -260,13 +249,13 @@ def riemannian_adam_step(
         step[r] /= denom
         return _retraction_input(point, step, tangent, r)
 
-    bounds = run(lanes, moments, split(point.shape[0], lanes))
+    bounds = run(lanes, moments, split(point.shape[0]))
     new_point = point
     if np.any(np.array(bounds)[:, 2:]):  # the step has a nonzero or NaN entry
         new_point = _retract_into(tangent, bounds, step, lanes)
     # Y is free only now: the Householder fallback reads it
     new_state = StiefelAdamState(
-        m1=_tangent_project_into(new_point, m1, tangent, lanes),
+        m1=tangent_project(new_point, m1, lanes, out=tangent),
         m2=m2,
         lr=state.lr,
         step_count=count,

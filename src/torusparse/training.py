@@ -179,6 +179,9 @@ def _gradients_at(image, code, model, rbar, mode, grid=None):
     the second moment of R u, a dense quadrature over the posterior
     ``grid``, and without a grid the basis gradient is None."""
     image, code = np.asarray(image, dtype=float), np.asarray(code, dtype=float)
+    for name, value in (("image", image), ("code", code)):
+        if value.ndim != 1:
+            raise ValueError(f"{name} must be 1-D, got shape {value.shape}")
     if image.shape[-1] != model.dim or code.shape[-1] != model.n_atoms:
         raise ValueError("image/code shapes do not match model")
     if mode not in ("exact", "approximate"):
@@ -228,8 +231,8 @@ def _batch_gradients(images, codes, model, rbar, exact, v=None, lanes=None):
     part, and only the per-image ``basis_gradient`` adds -B S back. As
     B^T B = I, the squared residual |x - B R u|^2 is |x|^2 - 2 v . R u +
     |R u|^2. ``v`` is the projection X B when the caller already holds it.
-    With ``lanes``, the D rows of both gradients are formed in blocks on
-    the lanes.
+    The D rows of both gradients are formed in blocks set by D alone:
+    ``lanes`` only picks the threads.
     """
     rot = _blocks(rbar)
     u = _blocks(codes @ (model.basis.T @ model.dictionary).T)
@@ -249,7 +252,7 @@ def _batch_gradients(images, codes, model, rbar, exact, v=None, lanes=None):
         np.matmul(stacked[:, r].T, weights, out=grad_basis[r])
         grad_basis[r] /= scale
 
-    run(lanes, rows, split(model.dim, lanes))
+    run(lanes, rows, split(model.dim))
     sq_residual = np.vdot(images, images) - 2.0 * np.vdot(v, ru) + np.vdot(ru, ru)
     return grad_dict, grad_basis, float(sq_residual / images.shape[0])
 

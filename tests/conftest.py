@@ -210,7 +210,7 @@ def oracle_riemannian_adam_step(state, point, grad, lanes=None):
         denom += ADAM_EPS
         step /= denom
 
-    run(lanes, moments, split(point.shape[0], lanes))
+    run(lanes, moments, split(point.shape[0]))
     step = scratch
     new_point = point
     if np.any(step):

@@ -9,16 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import torusparse as tp
+from torusparse import stiefel
 from torusparse.lanes import Lanes, split
 from torusparse.stiefel import (
     StiefelAdamState,
     _split_gram,
     positive_qr,
+    retract,
     riemannian_adam_step,
     tangent_project,
 )
 from torusparse.inference import CHUNK_WEIGHTS, _tile_slices
 from torusparse.training import _batch_gradients, init_model, train
+
+from conftest import small_model
 
 THREADS = (1, 2, 3)
 
@@ -97,6 +101,46 @@ def test_split_step_has_the_same_bytes_at_every_thread_count(seed, d, width_frac
     want = adam_step(None)
     for a, b in zip(got, want):
         assert_close(a, b)
+
+
+@st.composite
+def stiefel_shapes(draw):
+    """(seed, D, width): D in 2..40, so fewer rows than SPLIT_BLOCKS
+    occur, and an even width up to D."""
+    d = draw(st.integers(2, 40))
+    return draw(st.integers(0, 2**32 - 1)), d, 2 * draw(st.integers(1, d // 2))
+
+
+@given(shape=stiefel_shapes())
+@settings(max_examples=30, deadline=None)
+def test_lanes_never_change_the_bytes(shape):
+    # no lanes and lanes of 1, 2 and 3 threads run the same blocks
+    seed, d, width = shape
+    rng = np.random.default_rng(seed)
+    point = random_stiefel(rng, d, width)
+    grads = rng.standard_normal((2, d, width))
+    step = 0.3 * rng.standard_normal((d, width)) / np.sqrt(d)
+    model = small_model(seed % 1000, d=d - d % 2, L=width // 2)
+    images = rng.uniform(0.05, 1.0, (5, model.dim))
+    codes = rng.uniform(0, 1, (5, model.n_atoms))
+    rbar = rng.uniform(-1, 1, (5, width))
+
+    def compute(lanes):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stiefel, "QR_ORTHONORMALITY_TOL", -1.0)
+            householder = positive_qr(point + step, lanes)
+        state, new_point = StiefelAdamState.init(point.shape, 0.05), point
+        for grad in grads:
+            state, new_point = riemannian_adam_step(state, new_point, grad, lanes)
+        return (tangent_project(point, grads[0], lanes), *positive_qr(point + step, lanes),
+                *householder, retract(point, step, lanes), state.m1, state.m2, new_point,
+                *_batch_gradients(images, codes, model, rbar, False, lanes=lanes)[:2],
+                *_batch_gradients(images, codes, model, rbar, True, lanes=lanes)[:2])
+
+    want = [a.tobytes() for a in compute(None)]
+    for threads in THREADS:
+        with Lanes(threads) as lanes:
+            assert [a.tobytes() for a in compute(lanes)] == want
 
 
 def test_split_adam_steps_at_the_paper_shape_stay_orthonormal(monkeypatch):
@@ -221,13 +265,13 @@ def test_map_waits_for_every_lane_before_raising_the_callers_error():
 
 
 def test_split_blocks_depend_on_the_length_alone():
-    assert split(7, None) == [slice(0, 7)]
-    blocks = split(784, Lanes(1))
-    assert blocks == split(784, Lanes(1))
+    assert split(7) == [slice(0, 1), slice(1, 3), slice(3, 5), slice(5, 7)]
+    blocks = split(784)
+    assert blocks == split(784)
     assert [(b.start, b.stop) for b in blocks] == [(0, 196), (196, 392), (392, 588),
                                                    (588, 784)]
-    assert split(2, Lanes(1)) == [slice(0, 1), slice(1, 2)]
-    assert split(0, Lanes(1)) == [slice(0, 0)]
+    assert split(2) == [slice(0, 1), slice(1, 2)]
+    assert split(0) == [slice(0, 0)]
 
 
 @pytest.mark.parametrize("threads", [0, -1])

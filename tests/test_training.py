@@ -68,17 +68,17 @@ class TestInitModel:
 
     @pytest.mark.parametrize("shape", [dict(), dict(image_dim=784, n_freq=128)])
     def test_basis_orthonormal_to_1e_12_with_one_gram_check(self, monkeypatch, shape):
-        from torusparse import stiefel, torus
+        from torusparse import stiefel
 
         calls = []
-        error = stiefel.orthonormality_error
+        error = stiefel._identity_error
 
-        def counted(q):
-            calls.append(q.shape)
-            return error(q)
+        def counted(gram):
+            calls.append(gram.shape)
+            return error(gram)
 
-        monkeypatch.setattr(stiefel, "orthonormality_error", counted)
-        monkeypatch.setattr(torus, "orthonormality_error", counted)
+        # every Gram check, positive_qr's and orthonormality_error's, ends here
+        monkeypatch.setattr(stiefel, "_identity_error", counted)
         model = init_model(tiny_config(**shape), 3)
         assert len(calls) == 1  # positive_qr's, not a second one in validate
         gram = model.basis.T @ model.basis
@@ -298,6 +298,24 @@ class TestGradientRefusals:
         rbar[1, 4] = np.nan
         with pytest.raises(ValueError, match=r"rbar\[1, 4\] is nan"):
             tp.code_gradient(np.stack([self.image] * 2), self.code, self.model, rbar)
+
+    def per_image_only(self, image, code):
+        """The dictionary and basis gradients, in both modes; the code
+        gradient takes batches."""
+        args = (image, code, self.model, self.rbar)
+        return [partial(dictionary_gradient, *args, mode)
+                for mode in ("approximate", "exact")] + [
+            partial(basis_gradient, *args), partial(basis_gradient, *args, "exact", self.grid)]
+
+    def test_a_batch_of_images(self):
+        for call in self.per_image_only(np.stack([self.image] * 2), self.code):
+            with pytest.raises(ValueError, match=r"image must be 1-D, got shape \(2, 14\)"):
+                call()
+
+    def test_a_batch_of_codes(self):
+        for call in self.per_image_only(self.image, np.stack([self.code] * 2)):
+            with pytest.raises(ValueError, match=r"code must be 1-D, got shape \(2, 3\)"):
+                call()
 
     def test_grid_of_another_torus_dimension(self):
         grid = posterior_grid(np.zeros(10), replace(self.model.freq, n=1,
