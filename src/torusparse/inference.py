@@ -20,6 +20,7 @@ from .posterior import (
     _eta_from_coefficients,
     _fold,
     batch_posterior,
+    check_grid_fits,
     concat_posteriors,
     grid_pass,
     grid_tables,
@@ -115,12 +116,7 @@ def _check_gradient_inputs(model, rbar, rows=(), grid=None) -> np.ndarray:
         raise ValueError(f"rbar[{', '.join(map(str, bad[0]))}] is "
                          f"{rbar[tuple(bad[0])]}; must be finite")
     if grid is not None:
-        if grid.n != model.freq.n:
-            raise ValueError(f"grid is over a torus of dimension n = {grid.n}; "
-                             f"the model's has n = {model.freq.n}")
-        if np.shape(grid.weights) != (grid.N**grid.n,):
-            raise ValueError(f"grid has weights of shape {np.shape(grid.weights)}; "
-                             f"expected ({grid.N**grid.n},), N**n for N = {grid.N}")
+        check_grid_fits(grid, model.freq.n)
     return rbar
 
 

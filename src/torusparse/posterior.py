@@ -19,9 +19,11 @@ import numpy as np
 from .torus import TWO_PI, FrequencyTable, grid_lattice
 
 GRID_POINT_LIMIT = 10_000_000
-# Nats below each row's peak at which ``grid_pass`` clamps the energy of a
-# batch whose span bound exceeds it: e^-600 is far above the subnormal range
-# (below e^-708), so exp and the expectation never see subnormal weights.
+# Span bound in nats up to which ``grid_pass`` shifts the energy by its
+# constant term alone, leaving it within +-300 nats; past it, the nats below
+# each row's peak at which the energy is clamped. e^-600 is far above the
+# subnormal range (below e^-708), so exp and the expectation never see
+# subnormal weights, nor, below e^709, infinite ones.
 SPAN_CLAMP = 600.0
 
 # Grid tables kept at once, one per (frequency table, N), oldest insert
@@ -85,15 +87,17 @@ def grid_tables(freq: FrequencyTable, N: int) -> tuple:
 
     Returns a tuple of arrays: for each torus axis k, the (N, A_k) complex
     table e^{2 pi i a j / N} over the A_k distinct values a of folded
-    component k (ascending); the (L,) index of each frame block's cell in
-    the C-ordered A_1 x ... x A_n box (ascending); the (L,) fold sign of
-    each block in block order (+1.0 or -1.0); the frame's order, the stable
-    sort of the blocks by cell; the start of each run of equal cells in the
-    frame and the distinct cells; then the conjugate phase tables of all
-    axes but the last. On a torus e^{i omega . s} = prod_k e^{i omega_k
-    s_k}, so the posterior energy and the expected rotation are pruned DFTs
-    over this box, evaluated one axis at a time. Angles are reduced modulo
-    N in integers first.
+    component k and 0 (ascending), so the box always has a zero cell, whose
+    phases are exactly 1 on every axis; the (L,) index of each frame block's
+    cell in the C-ordered A_1 x ... x A_n box (ascending); the (L,) fold
+    sign of each block in block order (+1.0 or -1.0); the frame's order, the
+    stable sort of the blocks by cell; the start of each run of equal cells
+    in the frame and the distinct cells; the zero cell's flat index in the
+    box (a numpy integer); then the conjugate phase tables of all axes but
+    the last. On a torus e^{i omega . s} = prod_k e^{i omega_k s_k}, so the
+    posterior energy and the expected rotation are pruned DFTs over this
+    box, evaluated one axis at a time. Angles are reduced modulo N in
+    integers first.
 
     Cached per (table, N), oldest entry evicted first beyond
     TABLE_CACHE_ENTRIES: the same factors are reused across every inference
@@ -110,15 +114,18 @@ def grid_tables(freq: FrequencyTable, N: int) -> tuple:
     steps = grid_lattice(1, N)
     phases, coords = [], []
     for component in np.where(folded[:, None], -freq.entries, freq.entries).T:
-        values, position = np.unique(component, return_inverse=True)
+        values, position = np.unique(np.append(component, 0), return_inverse=True)
         phases.append(np.exp((1j * TWO_PI / N) * ((steps * values) % N)))
-        coords.append(position.reshape(-1))
-    cells = np.ravel_multi_index(coords, [p.shape[1] for p in phases])
+        coords.append(position.reshape(-1))  # the last is the zero cell's
+    box = [p.shape[1] for p in phases]
+    cells = np.ravel_multi_index([c[:-1] for c in coords], box)
+    zero = np.ravel_multi_index([c[-1] for c in coords], box)
     order = np.argsort(cells, kind="stable")
     cells = cells[order]
     starts = np.flatnonzero(np.diff(cells, prepend=-1))
     return _cache_put(key, (*phases, cells, np.where(folded, -1.0, 1.0), order,
-                            starts, cells[starts], *(p.conj() for p in phases[:-1])))
+                            starts, cells[starts], zero,
+                            *(p.conj() for p in phases[:-1])))
 
 
 def _cache_put(key, tables: tuple) -> tuple:
@@ -134,10 +141,11 @@ def _cache_put(key, tables: tuple) -> tuple:
 
 
 def _split(tables: tuple) -> tuple:
-    """(phases, cells, sign, order, starts, distinct, conjugate phases) of a
-    ``grid_tables`` tuple, which holds 2n + 4 arrays for n axes."""
-    n = (len(tables) - 4) // 2
-    return (tables[:n], *tables[n:n + 5], tables[n + 5:])
+    """(phases, cells, sign, order, starts, distinct, zero, conjugate
+    phases) of a ``grid_tables`` tuple, which holds 2n + 5 entries for n
+    axes."""
+    n = (len(tables) - 5) // 2
+    return (tables[:n], *tables[n:n + 6], tables[n + 6:])
 
 
 def _blocks(pairs: np.ndarray) -> np.ndarray:
@@ -150,7 +158,7 @@ def _fold(pairs: np.ndarray, tables: tuple) -> np.ndarray:
     """Interleaved (..., 2L) pairs in block order as complex (..., L) blocks
     in the table's half-spectrum frame: gathered into cell order, folded
     blocks conjugated."""
-    _, _, sign, order, _, _, _ = _split(tables)
+    _, _, sign, order, _, _, _, _ = _split(tables)
     blocks = np.take(_blocks(pairs), order, axis=-1)
     blocks.imag *= sign[order]
     return blocks
@@ -159,7 +167,7 @@ def _fold(pairs: np.ndarray, tables: tuple) -> np.ndarray:
 def _unfold(blocks: np.ndarray, tables: tuple) -> np.ndarray:
     """The inverse of ``_fold``: complex (..., L) half-spectrum blocks back
     to interleaved (..., 2L) pairs in the table's block order."""
-    _, _, sign, order, _, _, _ = _split(tables)
+    _, _, sign, order, _, _, _, _ = _split(tables)
     pairs = np.empty_like(blocks)
     pairs[..., order] = blocks
     pairs.imag *= sign
@@ -169,15 +177,16 @@ def _unfold(blocks: np.ndarray, tables: tuple) -> np.ndarray:
 def grid_energy(eta_hat: np.ndarray, tables: tuple) -> np.ndarray:
     """Energies eta_c . cos(omega_l . s) + eta_s . sin(omega_l . s) of a
     (B, 2L) batch of natural parameters in the half-spectrum frame over the
-    grid, shape (B, N**n).
+    grid, shape (B, N**n), less their constant term: the real part of eta
+    summed over the zero-rate blocks.
 
     Reads eta_hat as complex z = eta_c + i eta_s, sums blocks sharing a
-    cell into the frequency box along the scatter plan and takes
-    Re sum z e^{-i omega . s}: axes 1..n-1 by batched matmuls with the
-    cached conjugate phases, the last axis as one real GEMM of the (re, im)
-    float view against the (cos, sin) table.
+    cell into the frequency box along the scatter plan, zeroes the box's
+    zero cell and takes Re sum z e^{-i omega . s}: axes 1..n-1 by batched
+    matmuls with the cached conjugate phases, the last axis as one real
+    GEMM of the (re, im) float view against the (cos, sin) table.
     """
-    phases, _, _, _, starts, distinct, conj = _split(tables)
+    phases, _, _, _, starts, distinct, zero, conj = _split(tables)
     blocks = _blocks(eta_hat)
     b = blocks.shape[0]
     rest = math.prod(p.shape[1] for p in phases)
@@ -185,6 +194,7 @@ def grid_energy(eta_hat: np.ndarray, tables: tuple) -> np.ndarray:
         blocks = np.add.reduceat(blocks, starts, axis=1)
     partial = np.zeros((b, rest), dtype=complex)
     partial[:, distinct] = blocks
+    partial[:, zero] = 0.0
     for phase in conj:
         rest //= phase.shape[1]
         partial = np.matmul(phase, partial.reshape(b, -1, phase.shape[1], rest))
@@ -200,7 +210,15 @@ def grid_expectation(weights: np.ndarray, tables: tuple) -> np.ndarray:
     box, the last axis as one real GEMM against the (cos, sin) table, read
     back as complex, the other axes by batched matmuls; each block then
     reads its cell of the box, whose (re, im) view is the (cos, sin) pair."""
-    phases, cells, _, _, _, _, _ = _split(tables)
+    return np.take(_expectation_box(weights, tables), _split(tables)[1],
+                   axis=1).view(float)
+
+
+def _expectation_box(weights: np.ndarray, tables: tuple) -> np.ndarray:
+    """The (B, A_1 * ... * A_n) complex box of ``grid_expectation`` before
+    its gather. The zero cell's phases are exactly 1 + 0i, so that cell
+    holds the row sums of the weights, added in the GEMMs' order."""
+    phases = _split(tables)[0]
     b = weights.shape[0]
     last = phases[-1]
     n_grid, rest = last.shape
@@ -208,7 +226,7 @@ def grid_expectation(weights: np.ndarray, tables: tuple) -> np.ndarray:
     for phase in phases[-2::-1]:
         partial = np.matmul(phase.T, partial.reshape(b, -1, n_grid, rest))
         rest *= phase.shape[1]
-    return np.take(partial.reshape(b, -1), cells, axis=1).view(float)
+    return partial.reshape(b, -1)
 
 
 @dataclass(eq=False)
@@ -216,7 +234,7 @@ class PosteriorGrid:
     """Discretized angle posterior: normalized weights over the uniform grid.
 
     ``log_norm`` is the log of the quadrature normalizer
-    (2*pi/N)^n * sum(exp(energy)), computed max-shifted.
+    (2*pi/N)^n * sum(exp(energy)), computed shifted as in ``grid_pass``.
     """
 
     N: int
@@ -224,6 +242,17 @@ class PosteriorGrid:
     eta_hat: np.ndarray  # (2L,)
     weights: np.ndarray  # (N**n,) summing to one
     log_norm: float
+
+
+def check_grid_fits(grid: PosteriorGrid, n: int | None = None) -> None:
+    """Refuse ``grid`` by name unless it is over a torus of dimension ``n``
+    (when given) and holds one weight per point of its N**n grid."""
+    if n is not None and grid.n != n:
+        raise ValueError(f"grid is over a torus of dimension n = {grid.n}; "
+                         f"the model's has n = {n}")
+    if np.shape(grid.weights) != (grid.N**grid.n,):
+        raise ValueError(f"grid has weights of shape {np.shape(grid.weights)}; "
+                         f"expected ({grid.N**grid.n},), N**n for N = {grid.N}")
 
 
 def posterior_natural_params(
@@ -280,14 +309,18 @@ def expected_rotation(grid: PosteriorGrid, freq: FrequencyTable) -> np.ndarray:
     """Per-block posterior means of (cos, sin), interleaved into a 2L vector.
 
     These 2L numbers are the blockwise representation of the expected
-    rotation; the dense matrix is never formed.
+    rotation; the dense matrix is never formed. Refuses a grid that does not
+    fit ``freq`` (``check_grid_fits``).
     """
+    check_grid_fits(grid, freq.n)
     tables = grid_tables(freq, grid.N)
     return _unfold(grid_expectation(grid.weights[None], tables).view(complex), tables)[0]
 
 
 def map_estimate(grid: PosteriorGrid) -> np.ndarray:
-    """Grid point of maximum posterior weight (ties: lowest flat index)."""
+    """Grid point of maximum posterior weight (ties: lowest flat index).
+    Refuses a grid whose weight count is not N**n."""
+    check_grid_fits(grid)
     idx = int(np.argmax(grid.weights))
     coords = np.unravel_index(idx, (grid.N,) * grid.n)
     return np.array(coords, dtype=float) * (TWO_PI / grid.N)
@@ -338,29 +371,38 @@ def grid_pass(eta_hat: np.ndarray, tables: tuple):
     parameters in the half-spectrum frame of ``tables``.
 
     Returns (weights, shift, sums, rbar): the (B, N**n) weights
-    exp(energy - shift), the (B, 1) row maxima ``shift`` of the energy, the
-    (B, 1) row sums of the weights, and the (B, 2L) expected rotation pairs
+    exp(energy - shift), the (B, 1) ``shift`` of the energy, the (B, 1) row
+    sums of the weights, and the (B, 2L) expected rotation pairs
     rbar = expectation(weights) / sums, in the frame. The weights are left
-    unnormalised, since each FISTA iteration needs only rbar.
+    unnormalised, since each FISTA iteration needs only rbar. The pass
+    touches them three times: the energy GEMM writes them, exp runs in
+    place and the expectation GEMMs read them, whose zero cell is the sums.
 
     An image's energy spans at most 2 sum_l (|Re eta_l| + |Im eta_l|) nats
-    over the grid. Past about 708 nats exp(energy - shift) gives subnormal
-    weights, on which exp and the expectation GEMM slow down 10-15x; so when
-    some row's bound exceeds SPAN_CLAMP, the shifted energies of the whole
-    batch are clamped at -SPAN_CLAMP before exp. That moves no weight of a
-    row whose span is below SPAN_CLAMP, and no other weight by more than
-    e^-SPAN_CLAMP of its row's peak. Summation orders are fixed, so results
-    are reproducible bit for bit.
+    over the grid and lies within half that of its constant term c, the
+    real part of eta over the zero-rate blocks. So while no row's bound
+    exceeds SPAN_CLAMP, shift = c and the weights lie within e^+-300. Past
+    about 708 nats below the peak exp gives subnormal weights, on which exp
+    and the expectation GEMM slow down 10-15x; so when some row's bound
+    exceeds SPAN_CLAMP, the energies of the whole batch are shifted by their
+    row max as well (shift = c + max) and clamped at -SPAN_CLAMP before
+    exp. That moves no weight of a row whose span is below SPAN_CLAMP, and
+    no other weight by more than e^-SPAN_CLAMP of its row's peak. Summation
+    orders are fixed, so results are reproducible bit for bit.
     """
+    _, cells, _, _, _, _, zero, _ = _split(tables)
     clamp = 2.0 * np.abs(eta_hat).sum(axis=1).max(initial=0.0) > SPAN_CLAMP
+    shift = _blocks(eta_hat).real[:, cells == zero].sum(axis=1, keepdims=True)
     weights = grid_energy(eta_hat, tables)
-    shift = weights.max(axis=1, keepdims=True)
-    weights -= shift
     if clamp:
+        peak = weights.max(axis=1, keepdims=True)
+        weights -= peak
         np.maximum(weights, -SPAN_CLAMP, out=weights)
+        shift += peak
     np.exp(weights, out=weights)
-    sums = weights.sum(axis=1, keepdims=True)
-    rbar = grid_expectation(weights, tables)
+    box = _expectation_box(weights, tables)
+    sums = box[:, zero, None].real.copy()  # a view would keep the box alive
+    rbar = np.take(box, cells, axis=1).view(float)
     rbar /= sums
     return weights, shift, sums, rbar
 

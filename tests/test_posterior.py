@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 import torusparse as tp
 from torusparse import posterior
 from torusparse.posterior import (
+    SPAN_CLAMP,
     TABLE_CACHE_ENTRIES,
+    PosteriorGrid,
     batch_posterior,
     expected_rotation,
+    grid_pass,
     grid_tables,
     log_likelihood,
     map_estimate,
@@ -200,6 +203,19 @@ class TestExpectedRotation:
             rbar = expected_rotation(grid, freq)
             assert (np.abs(rbar) <= 1.0 + 1e-12).all()
 
+    @pytest.mark.parametrize("N, n, count, message", [
+        # 200 weights on a 10 x 10 grid used to read as two 100-weight images
+        # and give 0.5 for the zero-rate cosine
+        (10, 2, 200, r"grid has weights of shape \(200,\); expected \(100,\)"),
+        (10, 2, 50, r"grid has weights of shape \(50,\); expected \(100,\)"),
+        (10, 1, 10, "grid is over a torus of dimension n = 1; the model's has n = 2"),
+    ], ids=["too-many", "too-few", "other-dimension"])
+    def test_a_grid_that_does_not_fit_is_refused_by_name(self, N, n, count, message):
+        grid = PosteriorGrid(N=N, n=n, eta_hat=np.zeros(6),
+                             weights=np.full(count, 1.0 / count), log_norm=0.0)
+        with pytest.raises(ValueError, match=message):
+            expected_rotation(grid, build_frequency_table(2, 3, 1, 1))
+
 
 class TestMapEstimate:
     def test_uniform_tie_break(self):
@@ -211,6 +227,14 @@ class TestMapEstimate:
         model = small_model(9, n=2, L=3, d=12)
         grid = point_mass_grid(model, 10, 57)
         np.testing.assert_allclose(map_estimate(grid), TWO_PI * np.array([5, 7]) / 10)
+
+    def test_a_weight_count_other_than_n_to_the_n_is_refused_by_name(self):
+        grid = PosteriorGrid(N=10, n=2, eta_hat=np.zeros(6),
+                             weights=np.full(200, 1.0 / 200), log_norm=0.0)
+        grid.weights[150] = 1.0  # past the grid, once an out-of-bounds index
+        with pytest.raises(ValueError,
+                           match=r"grid has weights of shape \(200,\); expected \(100,\)"):
+            map_estimate(grid)
 
 
 class TestLogLikelihood:
@@ -357,6 +381,53 @@ def check_batch_posterior_against_direct(freq, N, scale, seed):
        scale=st.floats(0.0, 1e3), seed=st.integers(0, 2**32 - 1))
 def test_batch_posterior_matches_direct_evaluation(freq, N, scale, seed):
     check_batch_posterior_against_direct(freq, N, scale, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(freq=frequency_tables(), N=st.integers(2, 9),
+       span=st.floats(0.0, 4 * SPAN_CLAMP), seed=st.integers(0, 2**32 - 1))
+def test_log_norm_is_the_dense_log_sum_exp(freq, N, span, seed):
+    # eta_hat scaled to a span bound 2 sum |eta_hat| on either side of the
+    # clamp, where the pass shifts by the constant term or by the row max
+    eta_hat = np.random.default_rng(seed).standard_normal(2 * freq.L)
+    eta_hat *= span / (2.0 * np.abs(eta_hat).sum())
+    energy = dense_grid_table(freq, N) @ eta_hat
+    peak = energy.max()
+    want = peak + math.log(np.exp(energy - peak).sum()) + freq.n * math.log(TWO_PI / N)
+    got = posterior_grid(eta_hat, freq, N).log_norm
+    assert abs(got - want) <= 1e-12 * (1.0 + np.abs(eta_hat).sum())
+
+
+@pytest.mark.parametrize("include_zero", [True, False])
+def test_grid_pass_shifts_by_the_constant_term_below_the_clamp(include_zero):
+    # the constant term is the real part of eta over the zero-rate block, and
+    # 0 without one; below the clamp no row max is taken, so the weights
+    # reach above 1
+    freq = build_frequency_table(n=2, L=5, m=1, max_norm=2, include_zero=include_zero)
+    N = 12
+    eta_hat = np.random.default_rng(21).uniform(-20.0, 20.0, (3, 2 * freq.L))
+    assert 2.0 * np.abs(eta_hat).sum(axis=1).max() < SPAN_CLAMP
+    tables = grid_tables(freq, N)
+    weights, shift, sums, _ = grid_pass(posterior._fold(eta_hat, tables).view(float),
+                                        tables)
+    constant = eta_hat[:, :1] if include_zero else np.zeros((3, 1))
+    assert np.array_equal(shift, constant)
+    energy = eta_hat @ dense_grid_table(freq, N).T
+    assert (energy.max(axis=1) > constant[:, 0] + 1.0).all()
+    assert (weights.max(axis=1) > 1.0).all()
+    np.testing.assert_allclose(weights, np.exp(energy - shift), rtol=1e-12)
+
+
+def test_grid_pass_row_sums_are_the_weight_sums_without_a_zero_rate():
+    # no block has rate 0, so the zero cell that holds the row sums is one
+    # the tables add to the box
+    freq = build_frequency_table(n=1, L=3, m=1, max_norm=3, include_zero=False)
+    assert (freq.entries != 0).all()
+    tables = grid_tables(freq, 16)
+    eta_hat = np.random.default_rng(22).uniform(-5.0, 5.0, (4, 2 * freq.L))
+    weights, _, sums, _ = grid_pass(posterior._fold(eta_hat, tables).view(float), tables)
+    want = weights.sum(axis=1, keepdims=True)
+    assert (np.abs(sums - want) <= 1e-13 * want).all()
 
 
 @pytest.mark.parametrize("scale", [0.0, 1.0, 1e3])
