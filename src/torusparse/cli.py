@@ -15,6 +15,7 @@ import sys
 import numpy as np
 
 from .datasets import (
+    PARAMETER_NAMES,
     ROTSCALE_DEFAULT,
     TRANSLATE_DEFAULT,
     Dataset,
@@ -156,6 +157,10 @@ def _load_dataset(path) -> Dataset:
 
 
 def _cmd_gen_data(args) -> int:
+    for kind, names in PARAMETER_NAMES.items():  # before the templates are read
+        given = [name for name in names if getattr(args, name) is not None]
+        if kind != args.kind and given:
+            raise ValueError(f"--{given[0]} does not apply to --kind {args.kind}")
     templates = load_idx_images(args.templates)
     # built before warping, so an odd image dimension is refused at once
     model = _placeholder_model(templates.images.shape[1])
@@ -209,8 +214,7 @@ def _reconstruct(args, take=None):
         if take < 1:
             raise ValueError("--take must select at least one image")
     images = normalize_batch(dataset.images[:take])
-    cfg = TrainConfig(noise_var=model.noise_var, sparsity=model.sparsity)
-    return dataset.side, images, reconstruct_batch(images, model, cfg,
+    return dataset.side, images, reconstruct_batch(images, model, TrainConfig(),
                                                    threads=args.threads)
 
 
@@ -278,3 +282,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lanes import Lanes, check_threads
+from .lanes import Lanes, check_threads, split
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -32,14 +32,16 @@ MAX_SHIFT = 2.0**52
 # uint32 word, so s = 2**32 would repeat the parameters of sample 0.
 MAX_COUNT = 2**32
 
-# Output pixels warped per block of make_synthetic (41 images at 28x28).
-# Every block reads its corners from the one framed copy of the templates
-# and works in place: it allocates eight arrays the size of its own output
-# (256 KB each), its positions (then fractions), floors (then corner
-# indices), the fractions' complements, a weight and a gathered corner,
-# and holds at most seven at once, where one pass over all samples would
-# hold seven arrays of the whole dataset's size. 2**14 ran about 35%
-# slower on 28x28 images; 2**16 was no faster and took 1.9 MB more RSS.
+# Most output pixels warped per block of make_synthetic (at most 41 images
+# at 28x28): the images are cut into as few even blocks as keep each within
+# it (lanes.split). Every block reads its corners from the one framed copy
+# of the templates and works in place: it allocates eight arrays the size
+# of its own output (at most 256 KB each), its positions (then fractions),
+# floors (then corner indices), the fractions' complements, a weight and a
+# gathered corner, and holds at most seven at once, where one pass over all
+# samples would hold seven arrays of the whole dataset's size. 2**14 ran
+# about 35% slower on 28x28 images; 2**16 was no faster and took 1.9 MB
+# more RSS.
 WARP_PIXELS = 1 << 15
 
 
@@ -371,10 +373,11 @@ def _draw_parameters(seed: int, n_templates: int, count: int, ranges) -> np.ndar
     np.random.default_rng(np.random.SeedSequence([seed mod 2**64, t, s])),
     bit for bit: the SeedSequence pool and generate_state(4, uint64), the
     PCG64 seeding and two XSL-RR outputs x, and lo + (hi - lo) * (x >> 11)
-    * 2**-53, all computed for DRAW_SAMPLES samples per pass in uint32 and
-    uint64 arrays (array arithmetic wraps without warnings). t and s are
-    one 32-bit entropy word each, which holds below 2**32 samples
-    (TransformSpec refuses more than MAX_COUNT per template).
+    * 2**-53, all computed in uint32 and uint64 arrays (array arithmetic
+    wraps without warnings) over even passes (lanes.split) of at most
+    DRAW_SAMPLES samples. t and s are one 32-bit entropy word each, which
+    holds below 2**32 samples (TransformSpec refuses more than MAX_COUNT
+    per template).
     """
     seed = operator.index(seed) & _SEED_MASK
     words = [seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed]
@@ -383,9 +386,8 @@ def _draw_parameters(seed: int, n_templates: int, count: int, ranges) -> np.ndar
     pad = [np.zeros(1, dtype=np.uint32)] * (2 - len(words))
     ranges = [(float(lo), float(hi)) for lo, hi in ranges]
     meta = np.empty((n_templates * count, 2))
-    for start in range(0, len(meta), DRAW_SAMPLES):
-        stop = min(start + DRAW_SAMPLES, len(meta))
-        t, s = np.divmod(np.arange(start, stop), count)
+    for rows in split(len(meta), -(-len(meta) // DRAW_SAMPLES)):
+        t, s = np.divmod(np.arange(rows.start, rows.stop), count)
         entropy = head + [t.astype(np.uint32), s.astype(np.uint32)] + pad
         pool = [_hash(word, step) for word, step in zip(entropy, _POOL_STEPS)]
         steps = iter(_POOL_STEPS[4:])
@@ -406,7 +408,7 @@ def _draw_parameters(seed: int, n_templates: int, count: int, ranges) -> np.ndar
             x, rot = hi ^ lo, hi >> np.uint64(58)  # XSL-RR output
             x = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
             unit = (x >> np.uint64(11)).astype(float) * 2.0**-53
-            meta[start:stop, column] = low + (high - low) * unit
+            meta[rows, column] = low + (high - low) * unit
     return meta
 
 
@@ -419,12 +421,12 @@ def make_synthetic(templates, spec: TransformSpec, seed: int,
     Sample s of template t takes its two parameters, in spec.ranges
     order, from two `uniform` draws of a PCG64 generator seeded with
     np.random.SeedSequence([seed mod 2**64, t, s]); the meta rows hold
-    them. All samples' draws run as one vectorised pass over blocks of
-    DRAW_SAMPLES samples. The templates are framed once (_frame), and the
-    images are then warped from that copy in blocks of WARP_PIXELS output
-    pixels, shared out to ``threads`` lanes, the calling thread among
-    them. Each block writes its own rows of the result, so the bytes do
-    not depend on the thread count. Raises
+    them. All samples' draws run as one vectorised pass over even blocks
+    of at most DRAW_SAMPLES samples. The templates are framed once
+    (_frame), and the images are then warped from that copy in even blocks
+    of at most WARP_PIXELS output pixels, shared out to ``threads`` lanes,
+    the calling thread among them. Each block writes its own rows of the
+    result, so the bytes do not depend on the thread count. Raises
     ValueError naming the first sample whose warp has a non-finite pixel,
     whichever thread warped it.
     """
@@ -449,14 +451,13 @@ def make_synthetic(templates, spec: TransformSpec, seed: int,
     images = np.empty((len(meta), side, side))
     block = max(1, WARP_PIXELS // (side * side))
 
-    def warp(start):
+    def warp(rows):
         """Warp one block into its rows of images; its per-sample finite flags."""
-        stop = min(start + block, len(meta))
-        return _warp(framed, pad, spec.kind, np.arange(start, stop) // count,
-                     meta[start:stop], images[start:stop])
+        return _warp(framed, pad, spec.kind, np.arange(rows.start, rows.stop) // count,
+                     meta[rows], images[rows])
 
     with Lanes(threads) as lanes:
-        finite = np.concatenate(lanes.map(warp, range(0, len(meta), block)))
+        finite = np.concatenate(lanes.map(warp, split(len(meta), -(-len(meta) // block))))
     if not finite.all():
         row = int(np.argmin(finite))
         raise _non_finite(spec.kind, meta[row], f"template {row // count} sample {row % count} ")

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .lanes import check_threads
+from .lanes import check_threads, split
 from .posterior import (
     _blocks,
     _eta_from_coefficients,
@@ -145,9 +145,7 @@ def _tile_slices(total: int, grid_points: int):
     posterior weights within CHUNK_WEIGHTS (a slice of one row may hold
     more). They depend on the data alone, never on a thread count."""
     rows = max(1, CHUNK_WEIGHTS // grid_points)
-    tiles = max(1, -(-total // rows))
-    bounds = np.linspace(0, total, tiles + 1).astype(int)
-    return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    return split(total, -(-total // rows))
 
 
 def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
@@ -209,10 +207,8 @@ def infer_code_batch(images: np.ndarray, model, cfg, n_grid: int | None = None,
     # pool threads cover (the benchmark's check that self time accounts
     # for the wall time) would count that overlap twice.
     grid_tables(model.freq, n_grid)  # build them once, before the groups race
-    bounds = [len(tiles) * k // count for k in range(count + 1)]
-    groups = [tiles[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     with ThreadPoolExecutor(max_workers=count) as pool:
-        parts = list(pool.map(infer, groups))
+        parts = list(pool.map(infer, [tiles[g] for g in split(len(tiles), count)]))
     codes = np.concatenate([p[0] for p in parts], axis=0)
     return codes, concat_posteriors([p[1] for p in parts])
 

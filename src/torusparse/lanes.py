@@ -5,8 +5,9 @@
 among them, and returns once every block is done. A block writes its own
 part of an array the caller allocated, so which thread runs it never
 changes the bytes: they depend on the blocks alone. ``split`` cuts a
-length into blocks that depend on that length only, so every thread
-count, and a call without lanes, gives the same blocks and the same bits.
+length into blocks that depend on the length and their count only: at a
+fixed count, every thread count, and a call without lanes, gives the
+same blocks and the same bits.
 """
 
 from __future__ import annotations
@@ -79,11 +80,11 @@ class Lanes:
         return results
 
 
-def split(n: int) -> list:
-    """Slices cutting range(n) into min(n, SPLIT_BLOCKS) blocks of even
-    size, one empty block at n = 0: they depend on the length alone, so
-    every thread count, and no lanes at all, gives the same blocks."""
-    count = max(1, min(n, SPLIT_BLOCKS))
+def split(n: int, count: int = SPLIT_BLOCKS) -> list:
+    """Slices cutting range(n) into min(n, count) blocks of even size at
+    the integer bounds n * k // count, one empty block at n = 0: they
+    depend on n and count alone."""
+    count = max(1, min(n, count))
     bounds = [n * k // count for k in range(count + 1)]
     return [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
 

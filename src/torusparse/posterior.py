@@ -10,8 +10,8 @@ for these integrands).
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +26,10 @@ GRID_POINT_LIMIT = 10_000_000
 # subnormal weights, nor, below e^709, infinite ones.
 SPAN_CLAMP = 600.0
 
-# Grid tables kept at once, one per (frequency table, N), oldest insert
-# evicted first: room for the inference tables of a few models or grid
-# sizes in one process.
+# Grid tables kept at once by ``functools.lru_cache``, one per (frequency
+# table, N), least recently used evicted first: room for the inference
+# tables of a few models or grid sizes in one process.
 TABLE_CACHE_ENTRIES = 8
-
-_TABLE_CACHE: dict = {}
-_TABLE_LOCK = threading.Lock()
 
 
 @dataclass(eq=False)
@@ -99,21 +96,27 @@ def grid_tables(freq: FrequencyTable, N: int) -> tuple:
     box, evaluated one axis at a time. Angles are reduced modulo N in
     integers first.
 
-    Cached per (table, N), oldest entry evicted first beyond
-    TABLE_CACHE_ENTRIES: the same factors are reused across every inference
-    call during training.
+    Cached per (table, N) by ``functools.lru_cache``, the least recently
+    used entry evicted beyond TABLE_CACHE_ENTRIES: the same factors are
+    reused across every inference call during training. Two threads that
+    miss the same key at once may both build it; callers that race build
+    the tables first.
     """
     if N < 2:
         raise ValueError("grid size N must be >= 2")
     check_grid_points(freq.n, N)
-    key = freq.cache_key() + (N,)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    folded = freq.entries[:, -1] < 0
+    return _build_tables(freq.cache_key(), N)
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_ENTRIES)
+def _build_tables(key: tuple, N: int) -> tuple:
+    """``grid_tables`` of the frequency table whose ``cache_key`` is ``key``."""
+    n, raw = key
+    entries = np.frombuffer(raw, np.int64).reshape(-1, n)
+    folded = entries[:, -1] < 0
     steps = grid_lattice(1, N)
     phases, coords = [], []
-    for component in np.where(folded[:, None], -freq.entries, freq.entries).T:
+    for component in np.where(folded[:, None], -entries, entries).T:
         values, position = np.unique(np.append(component, 0), return_inverse=True)
         phases.append(np.exp((1j * TWO_PI / N) * ((steps * values) % N)))
         coords.append(position.reshape(-1))  # the last is the zero cell's
@@ -123,21 +126,8 @@ def grid_tables(freq: FrequencyTable, N: int) -> tuple:
     order = np.argsort(cells, kind="stable")
     cells = cells[order]
     starts = np.flatnonzero(np.diff(cells, prepend=-1))
-    return _cache_put(key, (*phases, cells, np.where(folded, -1.0, 1.0), order,
-                            starts, cells[starts], zero,
-                            *(p.conj() for p in phases[:-1])))
-
-
-def _cache_put(key, tables: tuple) -> tuple:
-    # Hits stay lock-free and never move their entry (no pop and reinsert),
-    # so an inference thread cannot miss a key another thread is touching; the
-    # lock keeps two builders from evicting the same oldest entry.
-    with _TABLE_LOCK:
-        if key not in _TABLE_CACHE:
-            while len(_TABLE_CACHE) >= TABLE_CACHE_ENTRIES:
-                del _TABLE_CACHE[next(iter(_TABLE_CACHE))]
-            _TABLE_CACHE[key] = tables
-        return _TABLE_CACHE[key]
+    return (*phases, cells, np.where(folded, -1.0, 1.0), order, starts, cells[starts],
+            zero, *(p.conj() for p in phases[:-1]))
 
 
 def _split(tables: tuple) -> tuple:

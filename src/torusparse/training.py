@@ -182,8 +182,10 @@ def _gradients_at(image, code, model, rbar, mode, grid=None):
     for name, value in (("image", image), ("code", code)):
         if value.ndim != 1:
             raise ValueError(f"{name} must be 1-D, got shape {value.shape}")
-    if image.shape[-1] != model.dim or code.shape[-1] != model.n_atoms:
-        raise ValueError("image/code shapes do not match model")
+    if code.shape[-1] != model.n_atoms:
+        raise ValueError("code length does not match dictionary size")
+    if image.shape[-1] != model.dim:
+        raise ValueError("image length does not match model dimension")
     if mode not in ("exact", "approximate"):
         raise ValueError(f"unknown gradient mode {mode!r}")
     rbar = _check_gradient_inputs(model, rbar, grid=grid)[None]

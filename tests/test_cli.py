@@ -101,6 +101,23 @@ class TestGenData:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind, flags", [
+        ("rotscale", ["--dx", "-1", "1"]),
+        ("rotscale", ["--dy", "-1", "1"]),
+        ("translate2d", ["--theta", "0", "10"]),
+        ("translate2d", ["--scale", "0.5", "1"]),
+    ], ids=["rotscale-dx", "rotscale-dy", "translate2d-theta", "translate2d-scale"])
+    def test_range_flag_of_the_other_kind_is_refused(self, tmp_path, templates_idx,
+                                                     capsys, monkeypatch, kind, flags):
+        # refused by name before the templates are read, never ignored
+        monkeypatch.setattr(cli, "load_idx_images", mock.Mock(side_effect=AssertionError))
+        out = tmp_path / "out.ds"
+        rc = main(["gen-data", "--kind", kind, "--templates", str(templates_idx),
+                   "--count-per-template", "2", "--seed", "0", "--out", str(out), *flags])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {flags[0]} does not apply to --kind {kind}\n"
+        assert not out.exists()
+
     def test_negative_bound_in_exponent_form_is_a_value(self, tmp_path, templates_idx):
         out = tmp_path / "out.ds"
         rc = main(["gen-data", "--kind", "translate2d", "--templates", str(templates_idx),
@@ -397,21 +414,24 @@ def test_train_refusals_write_no_checkpoint_and_no_log(tmp_path, deskaux, capsys
     assert not (tmp_path / "refused.ckpt.log").exists()
 
 
-def test_train_then_eval_cache_one_grid_table_per_grid(tmp_path, deskaux, monkeypatch):
+def test_train_then_eval_cache_one_grid_table_per_grid(tmp_path, deskaux):
     # one (table, N) entry for training at N = 12 and one for eval at N = 100
     from torusparse import posterior
 
     cfg, data = deskaux
     cfg.write_text(cfg.read_text().replace("L = 4\nn = 1\nN = 20", "L = 8\nn = 2\nN = 12"))
     ckpt = tmp_path / "model.ckpt"
-    monkeypatch.setattr(posterior, "_TABLE_CACHE", {})
+    posterior._build_tables.cache_clear()
     assert main(["train", "--config", str(cfg), "--data", str(data), "--out", str(ckpt),
                  "--epochs", "1"]) == 0
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(data)]) == 0
     freq = load_checkpoint_full(ckpt).model.freq
     assert (freq.entries[:, -1] < 0).any()
-    assert set(posterior._TABLE_CACHE) == {freq.cache_key() + (12,),
-                                           freq.cache_key() + (100,)}
+    info = posterior._build_tables.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
+    posterior.grid_tables(freq, 12)
+    posterior.grid_tables(freq, 100)
+    assert posterior._build_tables.cache_info().misses == 2  # both entries were these
 
 
 def corrupt_checkpoint(path, model, name, value):
@@ -510,6 +530,17 @@ def test_huge_finite_entry_is_exit_2_with_only_the_named_message(tmp_path, part,
         capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 2
     assert run.stderr == f"error: {message}\n"
+
+
+def test_module_run_prints_the_usage():
+    src = str(Path(tp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-m", "torusparse.cli", "--help"],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0
+    assert run.stdout.startswith("usage: torusparse ")
+    assert "gen-data" in run.stdout
 
 
 class TestDefaultThreads:

@@ -98,6 +98,18 @@ class TestIdx:
 
 
 @pytest.mark.parametrize("blob, message", [
+    (b"", "header truncated: 0 bytes, need 16"),
+    (struct.pack(">III", 0x00000803, 1, 2), "header truncated: 12 bytes, need 16"),
+], ids=["empty", "three-fields"])
+def test_image_file_with_a_short_header_is_refused(tmp_path, blob, message):
+    path = tmp_path / "images.idx"
+    path.write_bytes(blob)
+    with pytest.raises(IdxFormatError) as info:
+        load_idx_images(path)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("blob, message", [
     (b"", "header truncated: 0 bytes, need 8"),
     (struct.pack(">I", 0x00000801) + b"\x00", "header truncated: 5 bytes, need 8"),
     (struct.pack(">II", 0x00000801, 3) + bytes(2), "label payload length mismatch at byte 10"),

@@ -162,6 +162,12 @@ class TestSnr:
         with pytest.raises(ValueError):
             snr(np.empty((0, 4)), [])
 
+    def test_a_dataset_scores_its_images(self):
+        rng = np.random.default_rng(7)
+        images = rng.standard_normal((3, 16))
+        recons = self._recons(images + 0.2 * rng.standard_normal((3, 16)))
+        assert snr(tp.Dataset(images=images, side=4), recons) == snr(images, recons)
+
 
 class TestLatentTraversal:
     def test_validation(self):
@@ -335,7 +341,7 @@ def test_threaded_eval_builds_grid_table_once(monkeypatch):
         return lattice(n, N)
 
     model, cfg, images = cap_chunked_case()
-    monkeypatch.setattr(posterior, "_TABLE_CACHE", {})
+    posterior._build_tables.cache_clear()
     monkeypatch.setattr(posterior, "grid_lattice", slow_lattice)
     reconstruct_batch(images, model, cfg, threads=2)
     assert len(builds) == 1

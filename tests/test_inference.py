@@ -441,14 +441,24 @@ def folding_case(fista_steps=8):
     return model, cfg, images
 
 
-def test_inference_caches_one_grid_table(monkeypatch):
+@pytest.mark.parametrize("width", [10, 14])
+def test_infer_code_batch_refuses_images_of_another_length(width):
+    model = small_model(4)  # D = 12
+    with pytest.raises(ValueError) as info:
+        infer_code_batch(np.ones((2, width)), model, tp.TrainConfig())
+    assert str(info.value) == "image length does not match model dimension"
+
+
+def test_inference_caches_one_grid_table():
     # the half-spectrum frame is the table's own: no twin table is cached
     from torusparse import posterior
 
     model, cfg, images = folding_case()
-    monkeypatch.setattr(posterior, "_TABLE_CACHE", {})
+    posterior._build_tables.cache_clear()
     infer_code_batch(images, model, cfg)
-    assert list(posterior._TABLE_CACHE) == [model.freq.cache_key() + (cfg.grid_size,)]
+    assert posterior._build_tables.cache_info().currsize == 1
+    posterior.grid_tables(model.freq, cfg.grid_size)
+    assert posterior._build_tables.cache_info().misses == 1  # the one entry is this
 
 
 def test_inference_folds_a_fixed_number_of_times(monkeypatch):

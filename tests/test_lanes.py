@@ -299,6 +299,15 @@ def test_split_blocks_depend_on_the_length_alone():
     assert split(0) == [slice(0, 0)]
 
 
+@given(n=st.integers(1, 5000), count=st.integers(1, 300))
+def test_split_cuts_rows_into_even_ordered_blocks(n, count):
+    blocks = split(n, count)
+    assert len(blocks) == min(n, count)
+    assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+    sizes = {b.stop - b.start for b in blocks}
+    assert sizes <= {n // len(blocks), -(-n // len(blocks))}
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_lanes_refuse_fewer_than_one_thread(threads):
     with pytest.raises(ValueError, match="threads must be >= 1"):

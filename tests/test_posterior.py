@@ -77,6 +77,12 @@ class TestNaturalParams:
         with pytest.raises(ValueError, match=message):
             tp.TorusPrior(kappa=kappa, mu=mu)
 
+    @pytest.mark.parametrize("kappa, mu", [([1.0, 2.0], [0.0]), ([], [0.5])])
+    def test_kappa_and_mu_of_unequal_length(self, kappa, mu):
+        with pytest.raises(ValueError) as info:
+            tp.TorusPrior(kappa=kappa, mu=mu)
+        assert str(info.value) == "kappa and mu must have equal length"
+
 
 class TestPosteriorNaturalParams:
     def test_zero_code_returns_prior(self):
@@ -512,22 +518,29 @@ def test_half_spectrum_pass_matches_direct_evaluation(freq, N, scale, seed):
     check_batch_posterior_against_direct(freq, N, scale, seed)
 
 
-def test_table_cache_keeps_the_newest_entries(monkeypatch):
-    monkeypatch.setattr(posterior, "_TABLE_CACHE", {})
+def test_table_cache_keeps_the_newest_entries():
+    posterior._build_tables.cache_clear()
     freq = build_frequency_table(n=2, L=4, m=1, max_norm=1)
     built = [grid_tables(freq, N) for N in range(2, 22)]
-    assert len(posterior._TABLE_CACHE) <= TABLE_CACHE_ENTRIES
+    assert posterior._build_tables.cache_info().currsize <= TABLE_CACHE_ENTRIES
     assert grid_tables(freq, 21) is built[-1]
     assert grid_tables(freq, 2) is not built[0]  # the oldest was evicted
+    # a hit renews its entry, so a miss evicts the least recently used one:
+    # 2 evicted 14, and 21 was used since, which leaves 15 the oldest
+    oldest = 23 - TABLE_CACHE_ENTRIES
+    assert grid_tables(freq, oldest) is built[oldest - 2]
+    grid_tables(freq, 30)
+    assert grid_tables(freq, oldest) is built[oldest - 2]
+    assert grid_tables(freq, oldest + 1) is not built[oldest - 1]
 
 
-def test_table_cache_stays_bounded_under_concurrent_builds(monkeypatch):
+def test_table_cache_stays_bounded_under_concurrent_builds():
     # more threads than cores, switching often, each cycling through more
     # keys than the cache holds: evictions race with inserts and hits
     import sys
     import threading
 
-    monkeypatch.setattr(posterior, "_TABLE_CACHE", {})
+    posterior._build_tables.cache_clear()
     freq = build_frequency_table(n=2, L=4, m=1, max_norm=1)
     sizes = list(range(2, 2 + TABLE_CACHE_ENTRIES + 4))
     errors = []
@@ -537,7 +550,7 @@ def test_table_cache_stays_bounded_under_concurrent_builds(monkeypatch):
             for step in range(150):
                 N = sizes[(shift + step) % len(sizes)]
                 assert grid_tables(freq, N)[0].shape[0] == N
-                assert len(posterior._TABLE_CACHE) <= TABLE_CACHE_ENTRIES
+                assert posterior._build_tables.cache_info().currsize <= TABLE_CACHE_ENTRIES
         except Exception as exc:  # reported by the main thread
             errors.append(exc)
 
@@ -553,7 +566,7 @@ def test_table_cache_stays_bounded_under_concurrent_builds(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
-    assert len(posterior._TABLE_CACHE) <= TABLE_CACHE_ENTRIES
+    assert posterior._build_tables.cache_info().currsize <= TABLE_CACHE_ENTRIES
 
 
 @settings(max_examples=60, deadline=None)

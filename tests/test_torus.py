@@ -85,6 +85,26 @@ class TestFrequencyTable:
         with pytest.raises(ValueError, match="repeated"):
             validate_frequency_table(over)
 
+    @pytest.mark.parametrize("n, entries, message", [
+        (2, np.zeros((3, 1)), "frequency entries must be (L, 2), got (3, 1)"),
+        (1, np.zeros(3), "frequency entries must be (L, 1), got (3,)"),
+    ], ids=["columns", "one-dimensional"])
+    def test_entries_of_another_shape_refused_by_name(self, n, entries, message):
+        with pytest.raises(ValueError) as info:
+            FrequencyTable(n=n, entries=entries, multiplicity=1)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("entries", np.array([[1], [2]]), "frequency table shape mismatch"),
+        ("multiplicity", 0, "multiplicity must be >= 1"),
+    ], ids=["entries", "multiplicity"])
+    def test_validator_rejects_fields_set_after_construction(self, field, value, message):
+        table = build_frequency_table(n=2, L=2, m=1, max_norm=1)
+        setattr(table, field, value)
+        with pytest.raises(ValueError) as info:
+            validate_frequency_table(table)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("entries, message", [
         ([[0.5], [1.7]], "frequency entry [0, 0] is 0.5; entries must be finite integers"),
         ([[0.0, 1.0], [1.0, 2.5]], "frequency entry [1, 1] is 2.5"),
@@ -358,6 +378,13 @@ class TestOperatorValidation:
         ft = build_frequency_table(n=1, L=1, m=1, max_norm=1)
         with pytest.raises(ValueError, match="even"):
             TorusOperator(basis=np.eye(5)[:, :2], freq=ft)
+
+    @pytest.mark.parametrize("width", [2, 4, 8])
+    def test_rejects_basis_of_another_width_by_name(self, width):
+        ft = build_frequency_table(n=1, L=3, m=1, max_norm=3)
+        with pytest.raises(ValueError) as info:
+            TorusOperator(basis=np.eye(8, width), freq=ft)
+        assert str(info.value) == f"basis width {width} != 2L = 6"
 
     def test_rejects_wide_basis(self):
         ft = build_frequency_table(n=1, L=3, m=1, max_norm=3)

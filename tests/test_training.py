@@ -26,6 +26,7 @@ from torusparse.training import (
     BaselineState,
     _batch_gradients,
     _gradients_at,
+    baseline_model_params,
     basis_gradient,
     dictionary_gradient,
     init_model,
@@ -317,6 +318,33 @@ class TestGradientRefusals:
             with pytest.raises(ValueError, match=r"code must be 1-D, got shape \(2, 3\)"):
                 call()
 
+    @pytest.mark.parametrize("short, message", [
+        ("image", "image length does not match model dimension"),
+        ("code", "code length does not match dictionary size"),
+    ], ids=["image", "code"])
+    def test_input_of_another_length_by_name(self, short, message):
+        # the code gradient and the per-image ones give the same two messages
+        image = self.image[:-2] if short == "image" else self.image
+        code = self.code[:-1] if short == "code" else self.code
+        calls = [partial(tp.code_gradient, image, code, self.model, self.rbar, mode)
+                 for mode in ("approximate", "exact")] + self.per_image_only(image, code)
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("gradient", [tp.code_gradient, dictionary_gradient,
+                                          basis_gradient])
+    def test_unknown_mode_by_name(self, gradient):
+        with pytest.raises(ValueError) as info:
+            gradient(self.image, self.code, self.model, self.rbar, "fast")
+        assert str(info.value) == "unknown gradient mode 'fast'"
+
+    def test_exact_basis_gradient_without_a_grid(self):
+        with pytest.raises(ValueError) as info:
+            basis_gradient(self.image, self.code, self.model, self.rbar, "exact")
+        assert str(info.value) == "exact basis gradient requires the posterior grid"
+
     def test_grid_of_another_torus_dimension(self):
         grid = posterior_grid(np.zeros(10), replace(self.model.freq, n=1,
                               entries=self.model.freq.entries[:, :1]), 6)
@@ -428,19 +456,20 @@ class TestBatchGradientOracle:
         h = _batch_gradients(image[None], code[None], model, rbar[None], True)[1]
         assert tangent_gap(model, grad_b, h) <= 1e-12
 
-    def test_exact_basis_gradient_caches_no_grid_table(self, monkeypatch):
+    def test_exact_basis_gradient_caches_no_grid_table(self):
         from torusparse import posterior
 
-        monkeypatch.setattr(posterior, "_TABLE_CACHE", {})
+        posterior._build_tables.cache_clear()
         model = small_model(18, d=14, L=5, k=3, n=2)
         image = np.linspace(0.1, 1.0, 14)
         code = np.array([0.5, 0.2, 0.1])
         grid = posterior_grid(posterior_natural_params(image, code, model), model.freq, 9)
         rbar = expected_rotation(grid, model.freq)
-        cached = list(posterior._TABLE_CACHE)
-        assert len(cached) == 1
+        cached = posterior._build_tables.cache_info()
+        assert cached.currsize == 1
         basis_gradient(image, code, model, rbar, "exact", grid)
-        assert list(posterior._TABLE_CACHE) == cached
+        after = posterior._build_tables.cache_info()
+        assert (after.currsize, after.misses) == (1, cached.misses)
 
 
 class TestTrain:
@@ -680,6 +709,14 @@ def test_two_dimensional_training_end_to_end():
     assert model_snr > 8.0
 
 
+@pytest.mark.parametrize("d", [3, 15])
+def test_baseline_model_of_odd_dimension_is_refused(d):
+    state = BaselineState(dictionary=np.full((d, 2), 0.5))
+    with pytest.raises(ValueError) as info:
+        baseline_model_params(state, 0.01, 1.0)
+    assert str(info.value) == "identity embedding needs an even image dimension"
+
+
 def test_threaded_training_builds_grid_table_once(monkeypatch):
     # a slow lattice widens the window in which two chunk threads could
     # both miss an empty table cache on the first batch
@@ -695,7 +732,7 @@ def test_threaded_training_builds_grid_table_once(monkeypatch):
         time.sleep(0.05)
         return lattice(n, N)
 
-    monkeypatch.setattr(posterior, "_TABLE_CACHE", {})
+    posterior._build_tables.cache_clear()
     monkeypatch.setattr(posterior, "grid_lattice", slow_lattice)
     cfg = tiny_config(epochs=1)
     train(init_model(cfg, 0), tiny_dataset(), cfg, threads=2)
